@@ -23,33 +23,71 @@ auto detection_key(const MinuteDetection& d) {
                          static_cast<int>(d.type), d.minute);
 }
 
-/// Finalizes an incident from its member minutes [first, last).
-AttackIncident finalize(std::span<const MinuteDetection> minutes) {
-  AttackIncident inc;
-  const MinuteDetection& head = minutes.front();
-  inc.vip = head.vip;
-  inc.direction = head.direction;
-  inc.type = head.type;
-  inc.start = head.minute;
-  inc.end = minutes.back().minute + 1;
-  inc.active_minutes = static_cast<std::uint32_t>(minutes.size());
-  for (const MinuteDetection& d : minutes) {
-    inc.total_sampled_packets += d.sampled_packets;
-    inc.peak_sampled_ppm = std::max(inc.peak_sampled_ppm, d.sampled_packets);
-    inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
+}  // namespace
+
+void IncidentBuilder::feed(const MinuteDetection& d,
+                           std::vector<AttackIncident>& closed) {
+  auto [it, fresh] = live_.try_emplace(
+      Key{d.vip.value(), static_cast<int>(d.type), static_cast<int>(d.direction)});
+  LiveIncident& live = it->second;
+  AttackIncident& inc = live.incident;
+  // The gap counts the silent minutes strictly between the two detections.
+  if (!fresh && d.minute - inc.end > timeouts_.of(d.type)) {
+    closed.push_back(inc);
+    fresh = true;
   }
-  const auto ninety = static_cast<std::uint64_t>(
-      0.9 * static_cast<double>(inc.peak_sampled_ppm));
-  for (const MinuteDetection& d : minutes) {
-    if (d.sampled_packets >= ninety) {
-      inc.ramp_up_minutes = d.minute - inc.start;
-      break;
-    }
+  if (fresh) {
+    inc = AttackIncident{};
+    inc.vip = d.vip;
+    inc.direction = d.direction;
+    inc.type = d.type;
+    inc.start = d.minute;
+    live.peaks.clear();
   }
-  return inc;
+  inc.end = d.minute + 1;
+  inc.active_minutes += 1;
+  inc.total_sampled_packets += d.sampled_packets;
+  inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
+  if (live.peaks.empty() || d.sampled_packets > inc.peak_sampled_ppm) {
+    inc.peak_sampled_ppm = d.sampled_packets;
+    live.peaks.emplace_back(d.minute, d.sampled_packets);
+    // Running peaks rise strictly, so those below the new bar are a prefix.
+    const auto bar = static_cast<std::uint64_t>(
+        0.9 * static_cast<double>(inc.peak_sampled_ppm));
+    live.peaks.erase(
+        live.peaks.begin(),
+        std::find_if(live.peaks.begin(), live.peaks.end(),
+                     [bar](const auto& peak) { return peak.second >= bar; }));
+    inc.ramp_up_minutes = live.peaks.front().first - inc.start;
+  }
 }
 
-}  // namespace
+void IncidentBuilder::expire(util::Minute now,
+                             std::vector<AttackIncident>& closed) {
+  if (now <= expired_at_) return;
+  expired_at_ = now;
+  for (auto it = live_.begin(); it != live_.end();) {
+    const AttackIncident& inc = it->second.incident;
+    if (now - inc.end > timeouts_.of(inc.type)) {
+      closed.push_back(inc);
+      it = live_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void IncidentBuilder::flush(std::vector<AttackIncident>& closed) {
+  for (const auto& [key, live] : live_) closed.push_back(live.incident);
+  live_.clear();
+}
+
+void IncidentBuilder::adopt(LiveIncident live) {
+  const AttackIncident& inc = live.incident;
+  const Key key{inc.vip.value(), static_cast<int>(inc.type),
+                static_cast<int>(inc.direction)};
+  live_.insert_or_assign(key, std::move(live));
+}
 
 std::vector<AttackIncident> build_incidents(std::vector<MinuteDetection> detections,
                                             const TimeoutTable& timeouts) {
@@ -58,28 +96,22 @@ std::vector<AttackIncident> build_incidents(std::vector<MinuteDetection> detecti
               return detection_key(a) < detection_key(b);
             });
 
+  // Sorted input puts one key live at a time; flushing it when the key
+  // changes keeps the output in (vip, direction, type, start) order.
   std::vector<AttackIncident> incidents;
-  std::size_t group_start = 0;
+  IncidentBuilder builder(timeouts);
   for (std::size_t i = 0; i < detections.size(); ++i) {
-    const bool last = i + 1 == detections.size();
-    bool split = last;
-    if (!last) {
-      const MinuteDetection& cur = detections[i];
-      const MinuteDetection& next = detections[i + 1];
-      const bool same_series = cur.vip == next.vip &&
-                               cur.direction == next.direction &&
-                               cur.type == next.type;
-      // Gap counts the silent minutes strictly between the two detections.
-      split = !same_series ||
-              (next.minute - cur.minute - 1) > timeouts.of(cur.type);
+    const MinuteDetection& d = detections[i];
+    if (i > 0) {
+      const MinuteDetection& prev = detections[i - 1];
+      if (prev.vip != d.vip || prev.direction != d.direction ||
+          prev.type != d.type) {
+        builder.flush(incidents);
+      }
     }
-    if (split) {
-      incidents.push_back(finalize(
-          std::span<const MinuteDetection>(detections).subspan(
-              group_start, i + 1 - group_start)));
-      group_start = i + 1;
-    }
+    builder.feed(d, incidents);
   }
+  builder.flush(incidents);
   return incidents;
 }
 

@@ -6,7 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "netflow/flow_record.h"
@@ -68,8 +72,64 @@ struct TimeoutTable {
   }
 };
 
-/// Groups minute detections into incidents. Input order is irrelevant; the
-/// builder sorts internally by (vip, direction, type, minute).
+/// The incident state machine shared by build_incidents and StreamMonitor.
+/// Feed it each (vip, type, direction) key's detections in increasing
+/// minute order. A key's incident closes when its next detection follows
+/// more than the type's timeout of silent minutes (a gap-split, emitted as
+/// it happens), when expire() finds the timeout lapsed, or at flush().
+/// Closed incidents are erased, so the builder holds only live ones and
+/// its state is bounded by the attacks in progress, not by history.
+class IncidentBuilder {
+ public:
+  /// A live incident plus the minutes its ramp-up may still resolve to.
+  struct LiveIncident {
+    // dmlint: checkpointed
+    AttackIncident incident;
+    /// (minute, sampled packets) of the incident's strict running peaks
+    /// that are still at or above ⌊0.9 · peak⌋, oldest first. The ramp-up
+    /// minute — the first minute at ≥ ⌊0.9 · final peak⌋ — exceeds every
+    /// minute before it, so it is always one of these, and pruning against
+    /// each new peak leaves it in front.
+    std::vector<std::pair<util::Minute, std::uint64_t>> peaks;
+  };
+  /// (vip, type, direction): the emission order of expire() and flush().
+  using Key = std::tuple<std::uint32_t, int, int>;
+
+  explicit IncidentBuilder(const TimeoutTable& timeouts) noexcept
+      : timeouts_(timeouts) {}
+
+  /// Adds one detection, first appending the key's previous incident to
+  /// `closed` when the silent gap since it exceeds the type's timeout.
+  void feed(const MinuteDetection& d, std::vector<AttackIncident>& closed);
+
+  /// Appends to `closed`, in key order, every live incident whose timeout
+  /// has lapsed by minute `now`, and erases them. The caller commits
+  /// minutes in order — every detection fed after expire(now) is for a
+  /// minute >= now — so expiring again at `now` or earlier finds nothing,
+  /// and only a later `now` walks the live incidents.
+  void expire(util::Minute now, std::vector<AttackIncident>& closed);
+
+  /// Appends every live incident to `closed` in key order and erases them.
+  void flush(std::vector<AttackIncident>& closed);
+
+  /// Re-inserts a live incident captured by a checkpoint.
+  void adopt(LiveIncident live);
+
+  [[nodiscard]] const std::map<Key, LiveIncident>& live() const noexcept {
+    return live_;
+  }
+
+ private:
+  TimeoutTable timeouts_;
+  std::map<Key, LiveIncident> live_;
+  /// The last minute expire() walked; not checkpointed, since a restored
+  /// builder re-running expiry for that minute finds nothing to close.
+  util::Minute expired_at_ = std::numeric_limits<util::Minute>::min();
+};
+
+/// Groups minute detections into incidents, ordered by (vip, direction,
+/// type, start). Input order is irrelevant: the detections are sorted by
+/// (vip, direction, type, minute) and fed through one IncidentBuilder.
 [[nodiscard]] std::vector<AttackIncident> build_incidents(
     std::vector<MinuteDetection> detections, const TimeoutTable& timeouts);
 

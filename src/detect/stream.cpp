@@ -13,7 +13,6 @@ namespace dm::detect {
 using netflow::Direction;
 using netflow::FlowRecord;
 using netflow::OrientedFlow;
-using netflow::Protocol;
 using netflow::VipMinuteStats;
 
 namespace {
@@ -22,7 +21,7 @@ namespace {
 // payload — the same shape as a trace block, so a damaged checkpoint fails
 // loudly instead of resuming from garbage.
 constexpr std::uint32_t kCheckpointMagic = 0x4b434d44;  // "DMCK" little-endian
-constexpr std::uint16_t kCheckpointVersion = 1;
+constexpr std::uint16_t kCheckpointVersion = 2;
 
 /// Upper bound on a plausible checkpoint payload. A malformed size varint
 /// must not become a multi-gigabyte allocation before the CRC ever gets a
@@ -64,19 +63,8 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   netflow::put_varint(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Serializes an unordered remote-IP set as (count, sorted elements):
-/// sorting makes checkpoint bytes a pure function of monitor state.
-void put_ip_set(std::vector<std::uint8_t>& out,
-                const std::unordered_set<std::uint32_t>& set) {
-  // dmlint: allow(unordered-iteration) drained into a sorted vector before any byte is written
-  std::vector<std::uint32_t> sorted(set.begin(), set.end());
-  std::sort(sorted.begin(), sorted.end());
-  put_u64(out, sorted.size());
-  for (const std::uint32_t ip : sorted) put_u64(out, ip);
-}
-
-/// Serializes a dedup hash set as (count, sorted elements), mirroring
-/// put_ip_set: checkpoint bytes stay a pure function of monitor state.
+/// Serializes a dedup hash set as (count, sorted elements): checkpoint
+/// bytes stay a pure function of monitor state.
 void put_hash_set(std::vector<std::uint8_t>& out,
                   const std::unordered_set<std::uint64_t>& hashes) {
   // dmlint: allow(unordered-iteration) drained into a sorted vector before any byte is written
@@ -84,16 +72,6 @@ void put_hash_set(std::vector<std::uint8_t>& out,
   std::sort(sorted.begin(), sorted.end());
   put_u64(out, sorted.size());
   for (const std::uint64_t h : sorted) put_u64(out, h);
-}
-
-void get_ip_set(netflow::CheckedCursor& in,
-                std::unordered_set<std::uint32_t>& set) {
-  const std::uint64_t count = in.varint();
-  set.clear();
-  set.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    set.insert(static_cast<std::uint32_t>(in.varint()));
-  }
 }
 
 }  // namespace
@@ -109,7 +87,8 @@ StreamMonitor::StreamMonitor(netflow::PrefixSet cloud_space,
       timeouts_(timeouts),
       on_alert_(std::move(on_alert)),
       on_incident_(std::move(on_incident)),
-      stream_(stream) {}
+      stream_(stream),
+      incident_builder_(timeouts_) {}
 
 void StreamMonitor::ingest(const FlowRecord& record) {
   ++records_ingested_;
@@ -150,65 +129,12 @@ void StreamMonitor::ingest(const FlowRecord& record) {
     w.minute = record.minute;
     w.direction = *direction;
   }
-
-  w.packets += record.packets;
-  w.bytes += record.bytes;
-  w.flows += 1;
-  switch (record.protocol) {
-    case Protocol::kTcp:
-      w.tcp_packets += record.packets;
-      if (netflow::is_pure_syn(record.tcp_flags)) w.syn_packets += record.packets;
-      if (netflow::is_null_scan(record.tcp_flags)) {
-        w.null_scan_packets += record.packets;
-      }
-      if (netflow::is_xmas_scan(record.tcp_flags)) {
-        w.xmas_scan_packets += record.packets;
-      }
-      if (netflow::is_bare_rst(record.tcp_flags)) {
-        w.bare_rst_packets += record.packets;
-      }
-      break;
-    case Protocol::kUdp:
-      w.udp_packets += record.packets;
-      if (record.src_port == netflow::ports::kDns) {
-        w.dns_response_packets += record.packets;
-      }
-      break;
-    case Protocol::kIcmp:
-      w.icmp_packets += record.packets;
-      break;
-    case Protocol::kIpEncap:
-      w.ipencap_packets += record.packets;
-      break;
-  }
-
-  const std::uint32_t remote = flow.remote_ip().value();
-  if (open.remotes.insert(remote).second) w.unique_remote_ips += 1;
-
-  const std::uint16_t service_port = flow.service_port();
-  if (record.protocol == Protocol::kTcp &&
-      service_port == netflow::ports::kSmtp) {
-    w.smtp_flows += 1;
-    w.smtp_packets += record.packets;
-    if (open.smtp_remotes.insert(remote).second) w.unique_smtp_remotes += 1;
-  }
-  if (record.protocol == Protocol::kTcp &&
-      netflow::ports::is_remote_admin(service_port)) {
-    w.remote_admin_flows += 1;
-    w.admin_packets += record.packets;
-    if (open.admin_remotes.insert(remote).second) w.unique_admin_remotes += 1;
-  }
-  if (record.protocol == Protocol::kTcp && netflow::ports::is_sql(service_port)) {
-    w.sql_flows += 1;
-    w.sql_packets += record.packets;
-  }
-  if (blacklist_ != nullptr && blacklist_->contains(flow.remote_ip())) {
-    w.blacklist_flows += 1;
-    w.blacklist_packets += record.packets;
-    if (open.blacklist_remotes.insert(remote).second) {
-      w.unique_blacklist_remotes += 1;
-    }
-  }
+  const unsigned classes = netflow::accumulate(
+      w, {record.protocol, record.tcp_flags, record.src_port,
+          flow.service_port(), record.packets, record.bytes,
+          blacklist_ != nullptr && blacklist_->contains(flow.remote_ip())});
+  netflow::count_distinct(
+      w, open.remotes.insert(flow.remote_ip().value(), classes));
 }
 
 void StreamMonitor::advance_to(util::Minute minute) {
@@ -227,7 +153,9 @@ void StreamMonitor::commit_to(util::Minute minute) {
   while (!seen_.empty() && seen_.begin()->first <= watermark_) {
     seen_.erase(seen_.begin());
   }
-  expire_incidents(minute);
+  std::vector<AttackIncident> closed;
+  incident_builder_.expire(minute, closed);
+  emit(closed);
 }
 
 void StreamMonitor::close_minute(util::Minute minute) {
@@ -290,52 +218,16 @@ void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
                               verdicts[t].unique_remotes};
     ++alerts_;
     if (on_alert_) on_alert_(detection);
-    feed_detection(detection);
+    std::vector<AttackIncident> closed;
+    incident_builder_.feed(detection, closed);
+    emit(closed);
   }
 }
 
-void StreamMonitor::feed_detection(const MinuteDetection& d) {
-  const std::tuple<std::uint32_t, int, int> key{
-      d.vip.value(), static_cast<int>(d.type), static_cast<int>(d.direction)};
-  OpenIncident& open = open_incidents_[key];
-  AttackIncident& inc = open.incident;
-  const util::Minute timeout = timeouts_.of(d.type);
-
-  if (open.active && d.minute - (inc.end - 1) - 1 > timeout) {
-    // Gap exceeded: the previous incident is complete.
+void StreamMonitor::emit(const std::vector<AttackIncident>& closed) {
+  for (const AttackIncident& inc : closed) {
     ++incidents_;
     if (on_incident_) on_incident_(inc);
-    open.active = false;
-  }
-  if (!open.active) {
-    inc = AttackIncident{};
-    inc.vip = d.vip;
-    inc.direction = d.direction;
-    inc.type = d.type;
-    inc.start = d.minute;
-    open.active = true;
-  }
-  inc.end = d.minute + 1;
-  inc.active_minutes += 1;
-  inc.total_sampled_packets += d.sampled_packets;
-  if (d.sampled_packets > inc.peak_sampled_ppm) {
-    inc.peak_sampled_ppm = d.sampled_packets;
-    // Streaming ramp-up: the first minute that set the running peak is the
-    // best online estimate; refined whenever the peak grows.
-    inc.ramp_up_minutes = d.minute - inc.start;
-  }
-  inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
-}
-
-void StreamMonitor::expire_incidents(util::Minute now) {
-  for (auto& [key, open] : open_incidents_) {
-    if (!open.active) continue;
-    const util::Minute timeout = timeouts_.of(open.incident.type);
-    if (now - (open.incident.end - 1) - 1 > timeout) {
-      ++incidents_;
-      if (on_incident_) on_incident_(open.incident);
-      open.active = false;
-    }
   }
 }
 
@@ -346,12 +238,9 @@ void StreamMonitor::finish() {
     watermark_ = std::max(watermark_, minute);
   }
   seen_.clear();
-  for (auto& [key, open] : open_incidents_) {
-    if (!open.active) continue;
-    ++incidents_;
-    if (on_incident_) on_incident_(open.incident);
-    open.active = false;
-  }
+  std::vector<AttackIncident> closed;
+  incident_builder_.flush(closed);
+  emit(closed);
 }
 
 std::size_t StreamMonitor::open_window_count() const noexcept {
@@ -363,21 +252,24 @@ std::size_t StreamMonitor::open_window_count() const noexcept {
 }
 
 std::uint64_t StreamMonitor::approx_state_bytes() const noexcept {
-  // Entry sizes plus set payloads: a stable gauge of the state the
-  // checkpoint would serialize, cheap enough to walk once per accounting
-  // minute. Deliberately ignores allocator overhead and hash-table load
-  // factors so the number is identical across runs and platforms.
+  // Entry sizes plus table and list payloads: a stable gauge of the state
+  // the checkpoint would serialize, cheap enough to walk once per
+  // accounting minute. Deliberately ignores allocator overhead and
+  // hash-table load factors so the number is identical across runs and
+  // platforms.
   std::uint64_t bytes = 0;
   for (const auto& [minute, series_map] : open_minutes_) {
     bytes += sizeof(minute) + 48;  // map node overhead estimate
     for (const auto& [key, open] : series_map) {
-      bytes += sizeof(key) + sizeof(OpenWindow);
-      bytes += 4 * (open.remotes.size() + open.admin_remotes.size() +
-                    open.smtp_remotes.size() + open.blacklist_remotes.size());
+      bytes += sizeof(key) + sizeof(OpenWindow) +
+               open.remotes.size() * sizeof(std::uint64_t);
     }
   }
   bytes += detectors_.size() * (sizeof(SeriesKey) + sizeof(SeriesState) + 48);
-  bytes += open_incidents_.size() * (sizeof(OpenIncident) + 72);
+  for (const auto& [key, live] : incident_builder_.live()) {
+    bytes += sizeof(key) + sizeof(live) + 48 +
+             live.peaks.size() * sizeof(live.peaks[0]);
+  }
   bytes += outages_.size() * sizeof(outages_[0]);
   for (const auto& [minute, hashes] : seen_) {
     bytes += sizeof(minute) + 48 + 8 * hashes.size();
@@ -448,10 +340,12 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
       put_u64(payload, w.first_record);
       put_u64(payload, w.last_record);
       // dmlint: covers-end(w)
-      put_ip_set(payload, open.remotes);
-      put_ip_set(payload, open.admin_remotes);
-      put_ip_set(payload, open.smtp_remotes);
-      put_ip_set(payload, open.blacklist_remotes);
+      const auto remotes = open.remotes.sorted();
+      put_u64(payload, remotes.size());
+      for (const auto& [remote, classes] : remotes) {
+        put_u64(payload, remote);
+        put_u64(payload, classes);
+      }
       // dmlint: covers-end(open)
     }
   }
@@ -474,16 +368,13 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     // dmlint: covers-end(s)
   }
 
-  // Incidents (including inactive slots — their counters already fired).
-  put_u64(payload, open_incidents_.size());
-  for (const auto& [key, open] : open_incidents_) {
-    put_u64(payload, std::get<0>(key));
-    put_i64(payload, std::get<1>(key));
-    put_i64(payload, std::get<2>(key));
-    // dmlint: covers(open, OpenIncident)
+  // Live incidents, in key order; closed ones are gone, their counters
+  // already fired.
+  put_u64(payload, incident_builder_.live().size());
+  for (const auto& [key, live] : incident_builder_.live()) {
+    // dmlint: covers(live, LiveIncident)
     // dmlint: covers(inc, AttackIncident)
-    put_u64(payload, open.active ? 1 : 0);
-    const AttackIncident& inc = open.incident;
+    const AttackIncident& inc = live.incident;
     put_u64(payload, inc.vip.value());
     put_u64(payload, static_cast<std::uint64_t>(inc.direction));
     put_i64(payload, static_cast<std::int64_t>(inc.type));
@@ -495,7 +386,12 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     put_u64(payload, inc.peak_unique_remotes);
     put_i64(payload, inc.ramp_up_minutes);
     // dmlint: covers-end(inc)
-    // dmlint: covers-end(open)
+    put_u64(payload, live.peaks.size());
+    for (const auto& [minute, packets] : live.peaks) {
+      put_i64(payload, minute);
+      put_u64(payload, packets);
+    }
+    // dmlint: covers-end(live)
   }
 
   // Dedup hashes of still-open minutes, sorted for determinism.
@@ -597,11 +493,12 @@ void StreamMonitor::restore(std::istream& in) {
   const auto get_f64 = [&cur] { return std::bit_cast<double>(cur.varint()); };
 
   // Decode into fresh state so a failure mid-payload (impossible after the
-  // CRC check short of a version-1 encoder bug, but cheap to guard) leaves
-  // the monitor untouched.
+  // CRC check short of an encoder bug, but cheap to guard) leaves the
+  // monitor untouched. The fresh builder's expiry gate starts open, which
+  // is safe: expiring again at an already-expired minute closes nothing.
   decltype(open_minutes_) open_minutes;
   decltype(detectors_) detectors;
-  decltype(open_incidents_) open_incidents;
+  IncidentBuilder incident_builder(timeouts_);
   decltype(outages_) outages;
   decltype(seen_) seen;
 
@@ -616,8 +513,8 @@ void StreamMonitor::restore(std::istream& in) {
   std::uint64_t alerts = 0;
   std::uint64_t incidents = 0;
 
-  // A CRC-valid payload that still fails to decode (a version-1 encoder bug,
-  // or a 2^-32 CRC collision over damaged bytes) surfaces as a structured
+  // A CRC-valid payload that still fails to decode (an encoder bug, or a
+  // 2^-32 CRC collision over damaged bytes) surfaces as a structured
   // kMalformedPayload, and the monitor stays untouched.
   try {
   watermark = get_i64();
@@ -682,10 +579,11 @@ void StreamMonitor::restore(std::istream& in) {
       w.first_record = static_cast<std::uint32_t>(get_u64());
       w.last_record = static_cast<std::uint32_t>(get_u64());
       // dmlint: covers-end(w)
-      get_ip_set(cur, open.remotes);
-      get_ip_set(cur, open.admin_remotes);
-      get_ip_set(cur, open.smtp_remotes);
-      get_ip_set(cur, open.blacklist_remotes);
+      const std::uint64_t remote_count = get_u64();
+      for (std::uint64_t r = 0; r < remote_count; ++r) {
+        const auto remote = static_cast<std::uint32_t>(get_u64());
+        open.remotes.insert(remote, static_cast<unsigned>(get_u64()));
+      }
       // dmlint: covers-end(open)
     }
   }
@@ -713,17 +611,17 @@ void StreamMonitor::restore(std::istream& in) {
 
   const std::uint64_t incident_count = get_u64();
   for (std::uint64_t i = 0; i < incident_count; ++i) {
-    const std::uint32_t vip = static_cast<std::uint32_t>(get_u64());
-    const int type = static_cast<int>(get_i64());
-    const int dir = static_cast<int>(get_i64());
-    // dmlint: covers(open, OpenIncident)
+    // dmlint: covers(live, LiveIncident)
     // dmlint: covers(inc, AttackIncident)
-    OpenIncident& open = open_incidents[{vip, type, dir}];
-    open.active = get_u64() != 0;
-    AttackIncident& inc = open.incident;
+    IncidentBuilder::LiveIncident live;
+    AttackIncident& inc = live.incident;
     inc.vip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
     inc.direction = static_cast<Direction>(get_u64());
-    inc.type = static_cast<sim::AttackType>(get_i64());
+    const std::int64_t type = get_i64();
+    if (type < 0 || type >= static_cast<std::int64_t>(sim::kAttackTypeCount)) {
+      throw FormatError("checkpoint: incident attack type out of range");
+    }
+    inc.type = static_cast<sim::AttackType>(type);
     inc.start = get_i64();
     inc.end = get_i64();
     inc.active_minutes = static_cast<std::uint32_t>(get_u64());
@@ -732,7 +630,13 @@ void StreamMonitor::restore(std::istream& in) {
     inc.peak_unique_remotes = static_cast<std::uint32_t>(get_u64());
     inc.ramp_up_minutes = get_i64();
     // dmlint: covers-end(inc)
-    // dmlint: covers-end(open)
+    const std::uint64_t peak_count = get_u64();
+    for (std::uint64_t p = 0; p < peak_count; ++p) {
+      const util::Minute minute = get_i64();
+      live.peaks.emplace_back(minute, get_u64());
+    }
+    // dmlint: covers-end(live)
+    incident_builder.adopt(std::move(live));
   }
 
   const std::uint64_t seen_count = get_u64();
@@ -757,7 +661,7 @@ void StreamMonitor::restore(std::istream& in) {
 
   open_minutes_ = std::move(open_minutes);
   detectors_ = std::move(detectors);
-  open_incidents_ = std::move(open_incidents);
+  incident_builder_ = std::move(incident_builder);
   outages_ = std::move(outages);
   seen_ = std::move(seen);
   watermark_ = watermark;

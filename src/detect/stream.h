@@ -165,7 +165,7 @@ class StreamMonitor {
     return detectors_.size();
   }
   /// Rough resident footprint of the monitor state in bytes: container
-  /// entries times their element sizes plus the per-window remote-IP sets.
+  /// entries times their element sizes plus the per-window remote tables.
   /// A budget gauge (stable across runs), not an allocator measurement.
   [[nodiscard]] std::uint64_t approx_state_bytes() const noexcept;
 
@@ -183,17 +183,7 @@ class StreamMonitor {
   struct OpenWindow {
     // dmlint: checkpointed
     netflow::VipMinuteStats stats;
-    std::unordered_set<std::uint32_t> remotes;
-    std::unordered_set<std::uint32_t> admin_remotes;
-    std::unordered_set<std::uint32_t> smtp_remotes;
-    std::unordered_set<std::uint32_t> blacklist_remotes;
-  };
-
-  /// An incident accumulating detected minutes.
-  struct OpenIncident {
-    // dmlint: checkpointed
-    AttackIncident incident;
-    bool active = false;
+    netflow::DistinctRemotes remotes;  ///< distinct remotes, per RemoteClass
   };
 
   /// A per-series detector bank plus the last minute it observed — needed
@@ -209,8 +199,7 @@ class StreamMonitor {
   void commit_to(util::Minute minute);
   void close_minute(util::Minute minute);
   void feed_window(const SeriesKey& key, const OpenWindow& window);
-  void feed_detection(const MinuteDetection& detection);
-  void expire_incidents(util::Minute now);
+  void emit(const std::vector<AttackIncident>& closed);
   [[nodiscard]] std::size_t outage_overlap(util::Minute from,
                                            util::Minute to) const noexcept;
 
@@ -225,7 +214,7 @@ class StreamMonitor {
   // minute -> series -> open window; minutes close in order.
   std::map<util::Minute, std::map<SeriesKey, OpenWindow>> open_minutes_;
   std::map<SeriesKey, SeriesState> detectors_;
-  std::map<std::tuple<std::uint32_t, int, int>, OpenIncident> open_incidents_;
+  IncidentBuilder incident_builder_;
   util::Minute watermark_ = -1;  ///< all minutes <= watermark are closed
   util::Minute max_seen_ = -1;   ///< newest minute ingested or advanced to
   /// Declared collector outages [from, to), sorted and non-overlapping.

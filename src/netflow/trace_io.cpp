@@ -28,17 +28,25 @@ std::string hex32(std::uint32_t v) {
   return buf;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is the
+/// classic bytewise table, and tables[k][b] advances tables[k - 1][b] by
+/// one more zero byte, so eight table lookups fold in eight input bytes.
+const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xff] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 // Varint/zigzag encoding and the bounds-checked CheckedCursor come from
@@ -213,9 +221,20 @@ void stream_put_varint(std::ostream& out, std::uint64_t v) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
-  const auto& table = crc_table();
+  const auto& t = crc_tables();
   std::uint32_t crc = 0xffffffffu;
-  for (std::uint8_t b : bytes) crc = table[(crc ^ b) & 0xff] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Bytes are assembled explicitly, so the result is the same on any
+    // host byte order.
+    const std::uint32_t lo = crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                    std::uint32_t{p[2]} << 16 |
+                                    std::uint32_t{p[3]} << 24);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

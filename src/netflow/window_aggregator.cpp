@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <tuple>
+#include <utility>
 
 #include "exec/parallel.h"
 #include "exec/radix_sort.h"
@@ -16,6 +17,32 @@ std::optional<Direction> classify(const FlowRecord& record,
   const bool dst_cloud = cloud_space.contains(record.dst_ip);
   if (src_cloud == dst_cloud) return std::nullopt;
   return dst_cloud ? Direction::kInbound : Direction::kOutbound;
+}
+
+void DistinctRemotes::grow() {
+  std::vector<std::uint64_t> old =
+      std::exchange(slots_, std::vector<std::uint64_t>(
+                                std::max<std::size_t>(4, 2 * slots_.size())));
+  const std::size_t mask = slots_.size() - 1;
+  for (const std::uint64_t slot : old) {
+    if (slot == 0) continue;
+    std::size_t i = slot_of(static_cast<std::uint32_t>(slot >> 32)) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+std::vector<std::pair<std::uint32_t, unsigned>> DistinctRemotes::sorted() const {
+  std::vector<std::pair<std::uint32_t, unsigned>> out;
+  out.reserve(size_);
+  for (const std::uint64_t slot : slots_) {
+    if (slot != 0) {
+      out.emplace_back(static_cast<std::uint32_t>(slot >> 32),
+                       static_cast<unsigned>(slot));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 WindowedTrace::WindowedTrace(RecordStore store,
@@ -162,10 +189,11 @@ std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
   // reallocs of a vector of ~184-byte structs.
   windows.reserve(view.runs);
   VipMinuteStats* current = nullptr;
-  std::uint32_t last_remote = 0, last_admin_remote = 0, last_smtp_remote = 0,
-                last_blacklist_remote = 0;
-  bool any_remote = false, any_admin = false, any_smtp = false,
-       any_blacklist = false;
+  // Remotes arrive sorted within a window, so a remote's records are
+  // adjacent: a class is fresh for it unless an earlier record of the same
+  // remote in this window already counted it.
+  std::uint32_t last_remote = 0;
+  unsigned seen = 0;  // classes counted for last_remote; 0 = none yet
   // Blacklist membership is a pure function of the remote IP, and remotes
   // repeat in adjacent records (sorted within a window) — memoize the walk.
   MembershipMemo blacklisted(blacklist);
@@ -200,87 +228,25 @@ std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
         current->first_record =
             static_cast<std::uint32_t>(index_base + block.base_index + i);
         current->last_record = current->first_record;
-        any_remote = any_admin = any_smtp = any_blacklist = false;
+        seen = 0;
       }
       current->last_record =
           static_cast<std::uint32_t>(index_base + block.base_index + seg_end);
 
       for (; i < seg_end; ++i) {
-        const std::uint32_t packets = block.packets[i];
-        current->packets += packets;
-        current->bytes += block.bytes[i];
-        current->flows += 1;
-
-        const auto protocol = static_cast<Protocol>(block.protocol[i]);
-        switch (protocol) {
-          case Protocol::kTcp: {
-            current->tcp_packets += packets;
-            const auto flags = static_cast<TcpFlags>(block.tcp_flags[i]);
-            if (is_pure_syn(flags)) current->syn_packets += packets;
-            if (is_null_scan(flags)) current->null_scan_packets += packets;
-            if (is_xmas_scan(flags)) current->xmas_scan_packets += packets;
-            if (is_bare_rst(flags)) current->bare_rst_packets += packets;
-            break;
-          }
-          case Protocol::kUdp:
-            current->udp_packets += packets;
-            // A DNS response travels *from* the resolver's port 53; for
-            // inbound reflection that is the remote side, for the outbound
-            // case the VIP.
-            if (block.src_port[i] == ports::kDns) {
-              current->dns_response_packets += packets;
-            }
-            break;
-          case Protocol::kIcmp:
-            current->icmp_packets += packets;
-            break;
-          case Protocol::kIpEncap:
-            current->ipencap_packets += packets;
-            break;
-        }
-
         const std::uint32_t remote = block.remote[i];
-        if (!any_remote || remote != last_remote) {
-          current->unique_remote_ips += 1;
+        const unsigned classes = accumulate(
+            *current,
+            {static_cast<Protocol>(block.protocol[i]),
+             static_cast<TcpFlags>(block.tcp_flags[i]), block.src_port[i],
+             block.dst_port[i], block.packets[i], block.bytes[i],
+             blacklist != nullptr && blacklisted.contains(IPv4(remote))});
+        if (seen == 0 || remote != last_remote) {
           last_remote = remote;
-          any_remote = true;
+          seen = 0;
         }
-
-        // The port identifying the targeted application is the wire
-        // destination port regardless of direction (OrientedFlow::service_port).
-        const std::uint16_t service_port = block.dst_port[i];
-        if (protocol == Protocol::kTcp && service_port == ports::kSmtp) {
-          current->smtp_flows += 1;
-          current->smtp_packets += packets;
-          if (!any_smtp || remote != last_smtp_remote) {
-            current->unique_smtp_remotes += 1;
-            last_smtp_remote = remote;
-            any_smtp = true;
-          }
-        }
-        if (protocol == Protocol::kTcp && ports::is_remote_admin(service_port)) {
-          current->remote_admin_flows += 1;
-          current->admin_packets += packets;
-          if (!any_admin || remote != last_admin_remote) {
-            current->unique_admin_remotes += 1;
-            last_admin_remote = remote;
-            any_admin = true;
-          }
-        }
-        if (protocol == Protocol::kTcp && ports::is_sql(service_port)) {
-          current->sql_flows += 1;
-          current->sql_packets += packets;
-        }
-
-        if (blacklist != nullptr && blacklisted.contains(IPv4(remote))) {
-          current->blacklist_flows += 1;
-          current->blacklist_packets += packets;
-          if (!any_blacklist || remote != last_blacklist_remote) {
-            current->unique_blacklist_remotes += 1;
-            last_blacklist_remote = remote;
-            any_blacklist = true;
-          }
-        }
+        count_distinct(*current, classes & ~seen);
+        seen |= classes;
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -59,6 +60,136 @@ struct VipMinuteStats {
   // Index range [first_record, last_record) into WindowedTrace::records().
   std::uint32_t first_record = 0;
   std::uint32_t last_record = 0;
+};
+
+/// The distinct-remote counters of a window a record's remote IP feeds;
+/// accumulate() reports them as a mask.
+enum RemoteClass : unsigned {
+  kAnyRemote = 1u,        ///< unique_remote_ips: every record
+  kSmtpRemote = 2u,       ///< unique_smtp_remotes: TCP to port 25
+  kAdminRemote = 4u,      ///< unique_admin_remotes: TCP to 22/3389/5900
+  kBlacklistRemote = 8u,  ///< unique_blacklist_remotes: a TDS remote
+};
+
+/// The record fields a window's counters read. `service_port` is the wire
+/// destination port (OrientedFlow::service_port); `blacklisted` says the
+/// remote is a TDS host.
+struct CountedFlow {
+  Protocol protocol = Protocol::kTcp;
+  TcpFlags tcp_flags = TcpFlags::kNone;
+  std::uint16_t src_port = 0;
+  std::uint16_t service_port = 0;
+  std::uint32_t packets = 0;
+  std::uint64_t bytes = 0;
+  bool blacklisted = false;
+};
+
+/// The per-record counter kernel of a window, shared by the batch window
+/// build and StreamMonitor: adds the record's volumes, protocol and flag
+/// classes, application ports and blacklist hit to `w`. Returns the
+/// RemoteClass mask of distinct-remote counters the record's remote feeds;
+/// distinct counting is the caller's (count_distinct).
+[[nodiscard]] inline unsigned accumulate(VipMinuteStats& w,
+                                         const CountedFlow& f) noexcept {
+  w.packets += f.packets;
+  w.bytes += f.bytes;
+  w.flows += 1;
+  unsigned classes = kAnyRemote;
+  switch (f.protocol) {
+    case Protocol::kTcp:
+      w.tcp_packets += f.packets;
+      if (is_pure_syn(f.tcp_flags)) w.syn_packets += f.packets;
+      if (is_null_scan(f.tcp_flags)) w.null_scan_packets += f.packets;
+      if (is_xmas_scan(f.tcp_flags)) w.xmas_scan_packets += f.packets;
+      if (is_bare_rst(f.tcp_flags)) w.bare_rst_packets += f.packets;
+      if (f.service_port == ports::kSmtp) {
+        w.smtp_flows += 1;
+        w.smtp_packets += f.packets;
+        classes |= kSmtpRemote;
+      }
+      if (ports::is_remote_admin(f.service_port)) {
+        w.remote_admin_flows += 1;
+        w.admin_packets += f.packets;
+        classes |= kAdminRemote;
+      }
+      if (ports::is_sql(f.service_port)) {
+        w.sql_flows += 1;
+        w.sql_packets += f.packets;
+      }
+      break;
+    case Protocol::kUdp:
+      w.udp_packets += f.packets;
+      // A DNS response travels *from* the resolver's port 53; for inbound
+      // reflection that is the remote side, for the outbound case the VIP.
+      if (f.src_port == ports::kDns) w.dns_response_packets += f.packets;
+      break;
+    case Protocol::kIcmp:
+      w.icmp_packets += f.packets;
+      break;
+    case Protocol::kIpEncap:
+      w.ipencap_packets += f.packets;
+      break;
+  }
+  if (f.blacklisted) {
+    w.blacklist_flows += 1;
+    w.blacklist_packets += f.packets;
+    classes |= kBlacklistRemote;
+  }
+  return classes;
+}
+
+/// Adds one to each distinct-remote counter named in `fresh`: the classes
+/// under which a remote shows up for the first time in the window.
+inline void count_distinct(VipMinuteStats& w, unsigned fresh) noexcept {
+  w.unique_remote_ips += fresh & kAnyRemote;
+  w.unique_smtp_remotes += (fresh & kSmtpRemote) >> 1;
+  w.unique_admin_remotes += (fresh & kAdminRemote) >> 2;
+  w.unique_blacklist_remotes += (fresh & kBlacklistRemote) >> 3;
+}
+
+/// The distinct remote IPs of one open window, each with the RemoteClass
+/// bits it has been seen under: a flat open-addressing table (linear
+/// probing, power-of-two capacity, at most half full), so a record costs
+/// one probe sequence and allocates only when the table doubles. The
+/// streaming counterpart of the batch build's adjacent compare over
+/// sorted remotes.
+class DistinctRemotes {
+ public:
+  /// Notes `remote` under `classes` (always under kAnyRemote too); returns
+  /// the classes it had not been seen under before.
+  unsigned insert(std::uint32_t remote, unsigned classes) {
+    classes |= kAnyRemote;
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = slot_of(remote) & mask;; i = (i + 1) & mask) {
+      std::uint64_t& slot = slots_[i];
+      if (slot == 0) {  // every stored slot carries kAnyRemote, so 0 = free
+        slot = (std::uint64_t{remote} << 32) | classes;
+        ++size_;
+        return classes;
+      }
+      if (static_cast<std::uint32_t>(slot >> 32) == remote) {
+        const unsigned fresh = classes & ~static_cast<unsigned>(slot);
+        slot |= fresh;
+        return fresh;
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Every (remote, classes) entry, ascending by remote: checkpoint bytes
+  /// stay a pure function of the set, not of its insertion history.
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, unsigned>> sorted() const;
+
+ private:
+  [[nodiscard]] static std::size_t slot_of(std::uint32_t remote) noexcept {
+    return static_cast<std::size_t>(
+        (std::uint64_t{remote} * 0x9e3779b97f4a7c15ull) >> 32);
+  }
+  void grow();
+
+  std::vector<std::uint64_t> slots_;  ///< remote << 32 | classes; 0 = free
+  std::size_t size_ = 0;
 };
 
 /// The aggregated dataset: oriented records sorted by

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+
+#include "util/rng.h"
 
 namespace dm::detect {
 namespace {
@@ -160,6 +164,174 @@ TEST_P(IncidentConservation, PacketsAndCountsConserved) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncidentConservation,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- reference: sort by key, split at gaps, finalize each group ----------
+// Written apart from IncidentBuilder; the builder-backed build_incidents
+// must match it in order and on every field.
+
+auto reference_key(const MinuteDetection& d) {
+  return std::make_tuple(d.vip.value(), static_cast<int>(d.direction),
+                         static_cast<int>(d.type), d.minute);
+}
+
+AttackIncident reference_finalize(std::span<const MinuteDetection> minutes) {
+  AttackIncident inc;
+  const MinuteDetection& head = minutes.front();
+  inc.vip = head.vip;
+  inc.direction = head.direction;
+  inc.type = head.type;
+  inc.start = head.minute;
+  inc.end = minutes.back().minute + 1;
+  inc.active_minutes = static_cast<std::uint32_t>(minutes.size());
+  for (const MinuteDetection& d : minutes) {
+    inc.total_sampled_packets += d.sampled_packets;
+    inc.peak_sampled_ppm = std::max(inc.peak_sampled_ppm, d.sampled_packets);
+    inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
+  }
+  const auto ninety = static_cast<std::uint64_t>(
+      0.9 * static_cast<double>(inc.peak_sampled_ppm));
+  for (const MinuteDetection& d : minutes) {
+    if (d.sampled_packets >= ninety) {
+      inc.ramp_up_minutes = d.minute - inc.start;
+      break;
+    }
+  }
+  return inc;
+}
+
+std::vector<AttackIncident> reference_build(std::vector<MinuteDetection> detections,
+                                            const TimeoutTable& timeouts) {
+  std::sort(detections.begin(), detections.end(),
+            [](const MinuteDetection& a, const MinuteDetection& b) {
+              return reference_key(a) < reference_key(b);
+            });
+  std::vector<AttackIncident> incidents;
+  std::size_t group_start = 0;
+  for (std::size_t i = 0; i < detections.size(); ++i) {
+    const bool last = i + 1 == detections.size();
+    bool split = last;
+    if (!last) {
+      const MinuteDetection& cur = detections[i];
+      const MinuteDetection& next = detections[i + 1];
+      const bool same_series = cur.vip == next.vip &&
+                               cur.direction == next.direction &&
+                               cur.type == next.type;
+      split = !same_series ||
+              (next.minute - cur.minute - 1) > timeouts.of(cur.type);
+    }
+    if (split) {
+      incidents.push_back(reference_finalize(
+          std::span<const MinuteDetection>(detections)
+              .subspan(group_start, i + 1 - group_start)));
+      group_start = i + 1;
+    }
+  }
+  return incidents;
+}
+
+auto all_fields(const AttackIncident& inc) {
+  return std::make_tuple(inc.vip.value(), static_cast<int>(inc.direction),
+                         static_cast<int>(inc.type), inc.start, inc.end,
+                         inc.active_minutes, inc.total_sampled_packets,
+                         inc.peak_sampled_ppm, inc.peak_unique_remotes,
+                         inc.ramp_up_minutes);
+}
+
+TEST(IncidentBuilder, MatchesSortAndSplitReferenceOnRandomDetections) {
+  // Bursty per-key minute sequences with gaps straddling every type's
+  // timeout, and packet counts that wander near their running peak so the
+  // 90 % ramp-up bar lands on early, late and repeated peaks.
+  util::Rng rng(13);
+  std::vector<MinuteDetection> detections;
+  std::set<std::tuple<std::uint32_t, int, int, util::Minute>> used;
+  while (detections.size() < 12'000) {
+    const auto vip = netflow::IPv4(kVip.value() + static_cast<std::uint32_t>(rng.below(6)));
+    const auto dir = rng.chance(0.5) ? Direction::kInbound : Direction::kOutbound;
+    const auto type = sim::kAllAttackTypes[rng.below(sim::kAttackTypeCount)];
+    const util::Minute timeout = TimeoutTable::paper().of(type);
+    auto minute = static_cast<util::Minute>(rng.below(5000));
+    std::uint64_t level = 1 + rng.below(500);
+    for (std::uint64_t n = 1 + rng.below(30); n > 0; --n) {
+      if (used.insert({vip.value(), static_cast<int>(dir), static_cast<int>(type), minute})
+              .second) {
+        if (rng.chance(0.1)) {
+          level = rng.below(3);
+        } else {
+          const std::uint64_t up = rng.below(level / 8 + 2);
+          level = level + up - rng.below(level / 8 + 1);
+        }
+        detections.push_back(det(minute, type, vip, dir, level,
+                                 static_cast<std::uint32_t>(rng.below(50))));
+      }
+      minute += 1 + static_cast<util::Minute>(rng.below(static_cast<std::uint64_t>(2 * timeout + 2)));
+    }
+  }
+  std::vector<MinuteDetection> shuffled = detections;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  }
+
+  const auto expected = reference_build(detections, TimeoutTable::paper());
+  const auto actual = build_incidents(shuffled, TimeoutTable::paper());
+  ASSERT_EQ(actual.size(), expected.size());
+  std::set<int> types;
+  std::size_t late_ramps = 0;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(all_fields(actual[i]), all_fields(expected[i])) << "incident " << i;
+    types.insert(static_cast<int>(actual[i].type));
+    if (actual[i].ramp_up_minutes > 0) ++late_ramps;
+  }
+  EXPECT_EQ(types.size(), sim::kAttackTypeCount);
+  EXPECT_GT(late_ramps, 100u);
+}
+
+TEST(IncidentBuilder, RampUpIsFirstMinuteWithinNinetyPercentOfFinalPeak) {
+  // 95 is within 10 % of the later peak 100 but was itself a running peak
+  // when it arrived; the peak-setting minute (2) is not the ramp-up.
+  IncidentBuilder builder(TimeoutTable::paper());
+  std::vector<AttackIncident> closed;
+  for (const auto& [minute, packets] :
+       std::vector<std::pair<util::Minute, std::uint64_t>>{
+           {0, 10}, {1, 95}, {2, 100}, {3, 40}}) {
+    builder.feed(det(minute, AttackType::kUdpFlood, kVip, Direction::kInbound,
+                     packets),
+                 closed);
+  }
+  EXPECT_TRUE(closed.empty());
+  builder.flush(closed);
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].peak_sampled_ppm, 100u);
+  EXPECT_EQ(closed[0].ramp_up_minutes, 1);
+  EXPECT_TRUE(builder.live().empty());
+}
+
+TEST(IncidentBuilder, ExpiryErasesClosedIncidentsAndRunsOncePerMinute) {
+  IncidentBuilder builder(TimeoutTable::paper());
+  std::vector<AttackIncident> closed;
+  for (std::uint32_t v = 0; v < 1000; ++v) {
+    builder.feed(det(10, AttackType::kSynFlood, netflow::IPv4(kVip.value() + v)),
+                 closed);
+  }
+  builder.feed(det(10, AttackType::kIcmpFlood), closed);
+  ASSERT_EQ(builder.live().size(), 1001u);
+  // SYN's timeout is one silent minute: minute 13 closes every SYN flood,
+  // in key order, and erases them; the ICMP flood (timeout 120) stays.
+  builder.expire(13, closed);
+  ASSERT_EQ(closed.size(), 1000u);
+  EXPECT_TRUE(std::is_sorted(
+      closed.begin(), closed.end(),
+      [](const AttackIncident& a, const AttackIncident& b) {
+        return a.vip < b.vip;
+      }));
+  EXPECT_EQ(builder.live().size(), 1u);
+  // Expiry at the same or an earlier minute finds nothing new.
+  builder.expire(13, closed);
+  builder.expire(12, closed);
+  EXPECT_EQ(closed.size(), 1000u);
+  builder.expire(200, closed);
+  EXPECT_EQ(closed.size(), 1001u);
+  EXPECT_TRUE(builder.live().empty());
+}
 
 }  // namespace
 }  // namespace dm::detect

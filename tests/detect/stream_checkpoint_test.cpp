@@ -195,6 +195,111 @@ TEST(StreamCheckpoint, RestoreRejectsDamagedCheckpoints) {
   EXPECT_EQ(target.records_ingested(), 1u);
 }
 
+TEST(StreamCheckpoint, ClosedIncidentsLeaveNoState) {
+  // A thousand one-minute SYN floods on distinct VIPs, next to a control
+  // monitor that sees the same VIPs at the same minute with no flood. Each
+  // VIP's per-series detector bank is kept on purpose, and it is the same
+  // in both monitors; once the floods time out, their incidents
+  // (LiveIncident) must be gone, not kept as dead slots.
+  std::vector<AttackIncident> flood_incidents;
+  std::vector<AttackIncident> control_incidents;
+  StreamMonitor flooded = make_monitor(&flood_incidents);
+  StreamMonitor control = make_monitor(&control_incidents);
+  const std::uint64_t empty_bytes = flooded.approx_state_bytes();
+  for (std::uint32_t v = 0; v < 1000; ++v) {
+    FlowRecord r;
+    r.minute = 10;
+    r.src_ip = netflow::IPv4::from_octets(9, 9, 9, 9);
+    r.dst_ip = netflow::IPv4(
+        netflow::IPv4::from_octets(100, 64, 0, 0).value() + v);
+    r.protocol = netflow::Protocol::kTcp;
+    r.packets = 300;
+    r.bytes = 300 * 40;
+    r.tcp_flags = netflow::TcpFlags::kSyn;
+    flooded.ingest(r);
+    r.tcp_flags = netflow::TcpFlags::kAck;
+    control.ingest(r);
+  }
+  EXPECT_GT(flooded.approx_state_bytes(), empty_bytes);
+  flooded.advance_to(20);
+  control.advance_to(20);
+
+  EXPECT_EQ(flood_incidents.size(), 1000u);
+  EXPECT_TRUE(control_incidents.empty());
+  EXPECT_EQ(flooded.series_count(), control.series_count());
+  EXPECT_LE(flooded.approx_state_bytes(), control.approx_state_bytes() + 64);
+  // Only the alert and incident counters' varints may differ.
+  EXPECT_LE(checkpoint_bytes(flooded).size(),
+            checkpoint_bytes(control).size() + 8);
+}
+
+TEST(StreamCheckpoint, RestoreReplacesAMonitorThatRanAhead) {
+  // restore() must replace everything, including a monitor's progress past
+  // the checkpoint (its open windows, live incidents and expiry position).
+  const auto feed = scenario_feed(1);
+  std::vector<AttackIncident> ref_incidents;
+  StreamMonitor reference = make_monitor(&ref_incidents);
+  for (const auto& r : feed) reference.ingest(r);
+  const std::string ref_state = checkpoint_bytes(reference);
+  reference.finish();
+
+  const std::size_t half = feed.size() / 2;
+  std::vector<AttackIncident> split_incidents;
+  StreamMonitor before = make_monitor(&split_incidents);
+  for (std::size_t i = 0; i < half; ++i) before.ingest(feed[i]);
+  std::istringstream saved(checkpoint_bytes(before));
+
+  std::vector<AttackIncident> ahead_incidents;
+  StreamMonitor ahead = make_monitor(&ahead_incidents);
+  for (std::size_t i = 0; i < half + half / 2; ++i) ahead.ingest(feed[i]);
+  ahead_incidents.clear();  // emitted past the checkpoint, by a lost process
+  ahead.restore(saved);
+  for (std::size_t i = half; i < feed.size(); ++i) ahead.ingest(feed[i]);
+  EXPECT_EQ(checkpoint_bytes(ahead), ref_state);
+  ahead.finish();
+
+  split_incidents.insert(split_incidents.end(), ahead_incidents.begin(),
+                         ahead_incidents.end());
+  ASSERT_EQ(split_incidents.size(), ref_incidents.size());
+  for (std::size_t i = 0; i < ref_incidents.size(); ++i) {
+    EXPECT_EQ(key_of(split_incidents[i]), key_of(ref_incidents[i]))
+        << "incident " << i;
+  }
+}
+
+TEST(StreamCheckpoint, VersionOneFrameIsRejected) {
+  std::vector<AttackIncident> incidents;
+  StreamMonitor source = make_monitor(&incidents);
+  for (const auto& r : scenario_feed(1)) {
+    if (r.minute > 200) break;
+    source.ingest(r);
+  }
+  std::string old_frame = checkpoint_bytes(source);
+  old_frame[4] = 1;  // DMCK version 1: per-key slots, no ramp-up peaks
+  old_frame[5] = 0;
+
+  StreamMonitor target = make_monitor(&incidents);
+  FlowRecord r;
+  r.minute = 3;
+  r.src_ip = netflow::IPv4::from_octets(9, 9, 9, 9);
+  r.dst_ip = netflow::IPv4::from_octets(100, 64, 0, 1);
+  r.packets = 5;
+  r.bytes = 200;
+  target.ingest(r);
+  const std::string before = checkpoint_bytes(target);
+  std::istringstream in(old_frame);
+  try {
+    target.restore(in);
+    FAIL() << "restore accepted a version-1 checkpoint";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(static_cast<int>(e.kind()),
+              static_cast<int>(CheckpointError::Kind::kBadVersion))
+        << e.what();
+  }
+  EXPECT_EQ(checkpoint_bytes(target), before);
+  EXPECT_EQ(target.records_ingested(), 1u);
+}
+
 TEST(StreamCheckpoint, CheckpointBytesAreDeterministic) {
   const auto feed = scenario_feed(1);
   std::vector<AttackIncident> a_inc;

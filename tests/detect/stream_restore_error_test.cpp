@@ -52,12 +52,12 @@ std::vector<std::uint8_t> frame_payload(const std::string& frame) {
           frame.begin() + static_cast<std::ptrdiff_t>(pos + size)};
 }
 
-/// Reframes `payload` as a DMCK checkpoint with a correct size varint and
-/// CRC — the "CRC-clean but semantically wrong" construction kit.
-std::string reframe(std::vector<std::uint8_t> payload) {
-  std::string out;
-  const char magic[6] = {'D', 'M', 'C', 'K', 1, 0};
-  out.append(magic, 6);
+/// Reframes `payload` behind `frame`'s magic and version with a correct
+/// size varint and CRC — the "CRC-clean but semantically wrong"
+/// construction kit.
+std::string reframe(const std::string& frame,
+                    std::vector<std::uint8_t> payload) {
+  std::string out = frame.substr(0, 6);  // magic + version
   std::uint64_t size = payload.size();
   for (;;) {
     const auto b = static_cast<std::uint8_t>(size & 0x7f);
@@ -167,14 +167,14 @@ TEST_F(StreamRestoreError, CrcValidButUndecodable) {
   auto payload = frame_payload(valid_);
   ASSERT_FALSE(payload.empty());
   payload.pop_back();
-  expect_rejected(reframe(std::move(payload)),
+  expect_rejected(reframe(valid_, std::move(payload)),
                   CheckpointError::Kind::kMalformedPayload, "undecodable");
 }
 
 TEST_F(StreamRestoreError, TrailingPayloadBytes) {
   auto payload = frame_payload(valid_);
   payload.push_back(0);
-  expect_rejected(reframe(std::move(payload)),
+  expect_rejected(reframe(valid_, std::move(payload)),
                   CheckpointError::Kind::kTrailingBytes, "trailing");
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "detect/pipeline.h"
+#include "fault/fault.h"
 #include "sim/trace_generator.h"
 
 namespace dm::detect {
@@ -106,58 +108,123 @@ TEST(StreamMonitor, UnclassifiableRecordsDropped) {
   EXPECT_EQ(monitor.records_dropped(), 1u);
 }
 
-TEST(StreamMonitor, MatchesBatchPipelineOnSimulatedTrace) {
-  // The gold property: on an in-order feed, the streaming monitor finds the
-  // same incidents as the offline pipeline.
+/// Every AttackIncident field, in declaration order.
+auto all_fields(const AttackIncident& inc) {
+  return std::make_tuple(inc.vip.value(), static_cast<int>(inc.direction),
+                         static_cast<int>(inc.type), inc.start, inc.end,
+                         inc.active_minutes, inc.total_sampled_packets,
+                         inc.peak_sampled_ppm, inc.peak_unique_remotes,
+                         inc.ramp_up_minutes);
+}
+
+/// Runs `feed` through a StreamMonitor and the batch pipeline and expects
+/// the same windows and the same incidents, compared on every field.
+void expect_stream_matches_batch(const std::vector<FlowRecord>& feed,
+                                 const netflow::PrefixSet& space,
+                                 const netflow::PrefixSet* blacklist,
+                                 StreamConfig stream = {}) {
+  const auto windowed =
+      netflow::aggregate_windows(feed, space, blacklist);
+  auto batch = DetectionPipeline{}.run(windowed).incidents;
+
+  std::vector<AttackIncident> streamed;
+  StreamMonitor monitor(space, blacklist, DetectionConfig{},
+                        TimeoutTable::paper(), nullptr,
+                        [&](const AttackIncident& inc) {
+                          streamed.push_back(inc);
+                        },
+                        stream);
+  for (const auto& r : feed) monitor.ingest(r);
+  monitor.finish();
+  EXPECT_EQ(monitor.records_late(), 0u);
+  EXPECT_EQ(monitor.windows_closed(), windowed.windows().size());
+
+  EXPECT_EQ(streamed.size(), batch.size());
+  const auto by_fields = [](const AttackIncident& a, const AttackIncident& b) {
+    return all_fields(a) < all_fields(b);
+  };
+  std::sort(batch.begin(), batch.end(), by_fields);
+  std::sort(streamed.begin(), streamed.end(), by_fields);
+  for (std::size_t i = 0; i < std::min(streamed.size(), batch.size()); ++i) {
+    EXPECT_EQ(all_fields(streamed[i]), all_fields(batch[i])) << "incident " << i;
+  }
+}
+
+sim::ScenarioConfig simulated_config(unsigned thread_count) {
   auto config = sim::ScenarioConfig::smoke();
   config.vips.vip_count = 100;
   config.days = 1;
   config.seed = 777;
-  const sim::Scenario scenario(config);
-  auto generated = sim::generate_trace(scenario);
+  config.thread_count = thread_count;
+  return config;
+}
 
-  // Batch result.
-  auto records_copy = generated.records;
-  const auto windowed = netflow::aggregate_windows(
-      std::move(records_copy), scenario.vips().cloud_space(),
-      &scenario.tds().as_prefix_set());
-  const auto batch = DetectionPipeline{}.run(windowed);
+/// A generated one-day scenario and its feed in time order, as a collector
+/// delivers it.
+struct SimulatedFeed {
+  explicit SimulatedFeed(unsigned thread_count)
+      : scenario(simulated_config(thread_count)),
+        records(sim::generate_trace(scenario).records) {
+    std::stable_sort(records.begin(), records.end(),
+                     [](const FlowRecord& a, const FlowRecord& b) {
+                       return a.minute < b.minute;
+                     });
+  }
+  sim::Scenario scenario;
+  std::vector<FlowRecord> records;
+};
 
-  // Streaming result over the time-ordered feed.
-  std::stable_sort(generated.records.begin(), generated.records.end(),
-                   [](const FlowRecord& a, const FlowRecord& b) {
-                     return a.minute < b.minute;
-                   });
+TEST(StreamMonitor, MatchesBatchPipelineOnSimulatedTrace) {
+  // The gold property: on an in-order feed, the streaming monitor finds the
+  // same incidents as the offline pipeline, on every field.
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    const SimulatedFeed feed(threads);
+    expect_stream_matches_batch(feed.records,
+                                feed.scenario.vips().cloud_space(),
+                                &feed.scenario.tds().as_prefix_set());
+  }
+}
+
+TEST(StreamMonitor, MatchesBatchPipelineOnReorderedFeed) {
+  // Bounded disorder within the reorder lag changes nothing either.
+  const SimulatedFeed feed(1);
+  fault::RecordPlan plan;
+  plan.reorder_window = 32;
+  fault::RecordDamage damage;
+  const auto reordered =
+      fault::FaultInjector(11).degrade(feed.records, plan, &damage);
+  EXPECT_GT(damage.displaced, 0u);
+  StreamConfig stream;
+  stream.reorder_lag = 2;
+  expect_stream_matches_batch(reordered, feed.scenario.vips().cloud_space(),
+                              &feed.scenario.tds().as_prefix_set(), stream);
+}
+
+TEST(StreamMonitor, RampUpMatchesBatchWhenPeakFollowsNearPeakMinute) {
+  // 950 sampled SYN packets/min is within 10 % of the 1000 that follows:
+  // the ramp-up is the 950 minute, not the minute that set the peak.
+  std::vector<FlowRecord> feed;
+  const std::uint32_t rates[] = {300, 950, 1000, 400};
+  for (util::Minute m = 0; m < 4; ++m) {
+    for (std::uint32_t s = 0; s < 10; ++s) {
+      FlowRecord r = syn(100 + m, s);
+      r.packets = rates[m] / 10;
+      feed.push_back(r);
+    }
+  }
   std::vector<AttackIncident> streamed;
-  StreamMonitor monitor(scenario.vips().cloud_space(),
-                        &scenario.tds().as_prefix_set(), DetectionConfig{},
+  StreamMonitor monitor(cloud_space(), nullptr, DetectionConfig{},
                         TimeoutTable::paper(), nullptr,
                         [&](const AttackIncident& inc) {
                           streamed.push_back(inc);
                         });
-  for (const auto& r : generated.records) monitor.ingest(r);
+  for (const auto& r : feed) monitor.ingest(r);
   monitor.finish();
-
-  ASSERT_EQ(streamed.size(), batch.incidents.size());
-  // Sort both the same way and compare the essential fields.
-  const auto key = [](const AttackIncident& inc) {
-    return std::make_tuple(inc.vip.value(), static_cast<int>(inc.direction),
-                           static_cast<int>(inc.type), inc.start);
-  };
-  auto batch_sorted = batch.incidents;
-  std::sort(batch_sorted.begin(), batch_sorted.end(),
-            [&](const auto& a, const auto& b) { return key(a) < key(b); });
-  std::sort(streamed.begin(), streamed.end(),
-            [&](const auto& a, const auto& b) { return key(a) < key(b); });
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(key(streamed[i]), key(batch_sorted[i]));
-    EXPECT_EQ(streamed[i].end, batch_sorted[i].end);
-    EXPECT_EQ(streamed[i].active_minutes, batch_sorted[i].active_minutes);
-    EXPECT_EQ(streamed[i].total_sampled_packets,
-              batch_sorted[i].total_sampled_packets);
-    EXPECT_EQ(streamed[i].peak_sampled_ppm, batch_sorted[i].peak_sampled_ppm);
-  }
-  EXPECT_EQ(monitor.windows_closed(), windowed.windows().size());
+  ASSERT_EQ(streamed.size(), 1u);
+  EXPECT_EQ(streamed[0].peak_sampled_ppm, 1000u);
+  EXPECT_EQ(streamed[0].ramp_up_minutes, 1);
+  expect_stream_matches_batch(feed, cloud_space(), nullptr);
 }
 
 TEST(StreamMonitor, SplitCountersPartitionDrops) {

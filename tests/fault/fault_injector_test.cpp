@@ -57,8 +57,14 @@ TEST(FaultInjector, ByteCorruptionIsSeedDeterministic) {
   EXPECT_EQ(da.bytes_removed, db.bytes_removed);
 
   auto c = make_trace_bytes(20'000);
-  FaultInjector(78).corrupt(c, plan);
+  const std::size_t clean_size = c.size();
+  const ByteDamage dc = FaultInjector(78).corrupt(c, plan);
   EXPECT_NE(a, c);  // different seed, different damage
+  // ...of the same planned shape.
+  EXPECT_EQ(dc.corrupted_blocks.size(), 2u);
+  EXPECT_EQ(dc.truncated_blocks.size(), 1u);
+  EXPECT_EQ(dc.flipped_offsets.size(), 3u);
+  EXPECT_EQ(c.size() + dc.bytes_removed, clean_size);
 }
 
 TEST(FaultInjector, CorruptAndTruncateTargetsAreDistinct) {

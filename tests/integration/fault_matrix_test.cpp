@@ -93,7 +93,10 @@ TEST(FaultMatrix, ByteCorruptionMatrixNeverCrashesSalvage) {
   for (std::size_t i = 0; i < std::size(matrix); ++i) {
     SCOPED_TRACE("byte plan " + std::to_string(i));
     auto bytes = clean;
-    fault::FaultInjector(1000 + i).corrupt(bytes, matrix[i]);
+    const fault::ByteDamage damage =
+        fault::FaultInjector(1000 + i).corrupt(bytes, matrix[i]);
+    EXPECT_EQ(bytes.size() + damage.bytes_removed, clean.size());
+    EXPECT_EQ(damage.tail_truncated, matrix[i].truncate_tail);
     std::stringstream in(std::string(bytes.begin(), bytes.end()));
     netflow::TraceReader reader(in, netflow::ReadMode::kSalvage);
     const auto records = reader.read_all();
@@ -172,7 +175,8 @@ TEST(FaultMatrix, SalvagedTraceFeedsTheMonitorEndToEnd) {
   std::vector<std::uint8_t> bytes(clean_str.begin(), clean_str.end());
   fault::BytePlan plan;
   plan.corrupt_blocks = 2;
-  fault::FaultInjector(9).corrupt(bytes, plan);
+  const fault::ByteDamage damage = fault::FaultInjector(9).corrupt(bytes, plan);
+  EXPECT_EQ(damage.corrupted_blocks.size(), 2u);
 
   std::stringstream in(std::string(bytes.begin(), bytes.end()));
   netflow::TraceReader reader(in, netflow::ReadMode::kSalvage);

@@ -95,6 +95,7 @@ TEST(RotationCoverage, EveryServePersistedStructIsNamedByRotationTests) {
   const std::vector<std::string> declaration_sources = {
       "src/serve/supervisor.h",
       "src/detect/stream.h",
+      "src/detect/incident.h",
   };
   // The tests that drive the crash matrix / checkpoint byte-identity oracle.
   const std::vector<std::string> rotation_tests = {

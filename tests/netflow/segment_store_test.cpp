@@ -249,7 +249,7 @@ TEST(SegmentStore, BelowThresholdStaysResident) {
   // No segment files were left behind.
   std::size_t files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    files += entry.path().extension() == ".dmseg" ? 1 : 0;
+    if (entry.path().extension() == ".dmseg") ++files;
   }
   EXPECT_EQ(files, 0u);
   fs::remove_all(dir);

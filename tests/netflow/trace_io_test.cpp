@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <sstream>
 
 #include "util/error.h"
@@ -147,6 +148,33 @@ TEST(Crc32, KnownVector) {
 }
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
+
+/// The bytewise table-driven CRC-32 (reflected IEEE polynomial): the
+/// reference crc32's slicing must reproduce.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::uint8_t b : bytes) crc = table[(crc ^ b) & 0xff] ^ (crc >> 8);
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment) {
+  util::Rng rng(31);
+  std::vector<std::uint8_t> buffer(300 + 8);
+  for (std::size_t length = 0; length <= 300; ++length) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.below(256));
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset, length);
+      ASSERT_EQ(crc32(bytes), bytewise_crc32(bytes))
+          << "length " << length << ", offset " << offset;
+    }
+  }
+}
 
 // Property: round trip across block boundaries (block size is 4096 records).
 class TraceIoSizes : public ::testing::TestWithParam<std::size_t> {};

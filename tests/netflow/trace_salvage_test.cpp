@@ -280,7 +280,8 @@ TEST(TraceSalvage, SalvageSoak) {
     plan.corrupt_blocks = rng.below(4);
     plan.truncate_blocks = rng.below(3);
     plan.truncate_tail = rng.chance(0.3);
-    fault::FaultInjector(seed).corrupt(bytes, plan);
+    const fault::ByteDamage damage = fault::FaultInjector(seed).corrupt(bytes, plan);
+    EXPECT_EQ(bytes.size() + damage.bytes_removed, clean.size());
     // Occasionally hack off an arbitrary tail as well.
     if (rng.chance(0.25) && !bytes.empty()) {
       bytes.resize(1 + rng.below(bytes.size()));

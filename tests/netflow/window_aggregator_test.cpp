@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <unordered_set>
+
+#include "util/rng.h"
+
 namespace dm::netflow {
 namespace {
 
@@ -206,6 +212,199 @@ TEST(Aggregate, EmptyInput) {
   EXPECT_TRUE(trace.records().empty());
   EXPECT_TRUE(trace.vips().empty());
   EXPECT_TRUE(trace.series(kVip, Direction::kInbound).empty());
+}
+
+/// Reference window counters, written apart from accumulate(): a protocol
+/// switch with the port and blacklist tests inline, and one node-based set
+/// per distinct-remote counter. accumulate() with a DistinctRemotes table,
+/// and the batch window build, must match it field by field.
+struct ReferenceWindow {
+  VipMinuteStats stats;
+  std::unordered_set<std::uint32_t> remotes;
+  std::unordered_set<std::uint32_t> admin_remotes;
+  std::unordered_set<std::uint32_t> smtp_remotes;
+  std::unordered_set<std::uint32_t> blacklist_remotes;
+
+  void add(const FlowRecord& record, Direction direction,
+           const PrefixSet& blacklist) {
+    const OrientedFlow flow{&record, direction};
+    VipMinuteStats& w = stats;
+    w.packets += record.packets;
+    w.bytes += record.bytes;
+    w.flows += 1;
+    switch (record.protocol) {
+      case Protocol::kTcp:
+        w.tcp_packets += record.packets;
+        if (is_pure_syn(record.tcp_flags)) w.syn_packets += record.packets;
+        if (is_null_scan(record.tcp_flags)) {
+          w.null_scan_packets += record.packets;
+        }
+        if (is_xmas_scan(record.tcp_flags)) {
+          w.xmas_scan_packets += record.packets;
+        }
+        if (is_bare_rst(record.tcp_flags)) w.bare_rst_packets += record.packets;
+        break;
+      case Protocol::kUdp:
+        w.udp_packets += record.packets;
+        if (record.src_port == ports::kDns) {
+          w.dns_response_packets += record.packets;
+        }
+        break;
+      case Protocol::kIcmp:
+        w.icmp_packets += record.packets;
+        break;
+      case Protocol::kIpEncap:
+        w.ipencap_packets += record.packets;
+        break;
+    }
+
+    const std::uint32_t remote = flow.remote_ip().value();
+    if (remotes.insert(remote).second) w.unique_remote_ips += 1;
+
+    const std::uint16_t service_port = flow.service_port();
+    if (record.protocol == Protocol::kTcp && service_port == ports::kSmtp) {
+      w.smtp_flows += 1;
+      w.smtp_packets += record.packets;
+      if (smtp_remotes.insert(remote).second) w.unique_smtp_remotes += 1;
+    }
+    if (record.protocol == Protocol::kTcp &&
+        ports::is_remote_admin(service_port)) {
+      w.remote_admin_flows += 1;
+      w.admin_packets += record.packets;
+      if (admin_remotes.insert(remote).second) w.unique_admin_remotes += 1;
+    }
+    if (record.protocol == Protocol::kTcp && ports::is_sql(service_port)) {
+      w.sql_flows += 1;
+      w.sql_packets += record.packets;
+    }
+    if (blacklist.contains(flow.remote_ip())) {
+      w.blacklist_flows += 1;
+      w.blacklist_packets += record.packets;
+      if (blacklist_remotes.insert(remote).second) {
+        w.unique_blacklist_remotes += 1;
+      }
+    }
+  }
+};
+
+/// Every counter of a window (identity and record span excluded).
+auto counters(const VipMinuteStats& w) {
+  return std::make_tuple(
+      w.packets, w.bytes, w.tcp_packets, w.udp_packets, w.icmp_packets,
+      w.ipencap_packets, w.syn_packets, w.null_scan_packets,
+      w.xmas_scan_packets, w.bare_rst_packets, w.dns_response_packets,
+      w.flows, w.unique_remote_ips, w.smtp_flows, w.unique_smtp_remotes,
+      w.remote_admin_flows, w.unique_admin_remotes, w.sql_flows,
+      w.smtp_packets, w.admin_packets, w.sql_packets, w.blacklist_flows,
+      w.unique_blacklist_remotes, w.blacklist_packets);
+}
+
+/// Random records over a few VIPs and minutes covering every protocol, all
+/// 64 flag combinations, the service and DNS ports, both directions, and a
+/// small remote pool (so remotes repeat) of which a quarter is blacklisted.
+std::vector<FlowRecord> kernel_records(std::uint64_t seed, PrefixSet& blacklist) {
+  util::Rng rng(seed);
+  constexpr Protocol kProtocols[] = {Protocol::kTcp, Protocol::kUdp,
+                                     Protocol::kIcmp, Protocol::kIpEncap};
+  constexpr std::uint16_t kPorts[] = {22,   25,   53,   80,   443, 1433,
+                                      3306, 3389, 5900, 8080, 1234};
+  std::vector<IPv4> pool;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    pool.push_back(IPv4(0x05000000u + i * 977u));
+    if (i % 4 == 0) blacklist.add(Prefix(pool.back(), 32));
+  }
+  const auto port = [&] {
+    return rng.chance(0.8) ? kPorts[rng.below(std::size(kPorts))]
+                           : static_cast<std::uint16_t>(rng.below(65536));
+  };
+  std::vector<FlowRecord> records(20'000);
+  for (FlowRecord& r : records) {
+    const IPv4 vip(kVip.value() + static_cast<std::uint32_t>(rng.below(3)));
+    const IPv4 remote = pool[rng.below(pool.size())];
+    const bool inbound = rng.chance(0.5);
+    r.minute = static_cast<util::Minute>(rng.below(20));
+    r.src_ip = inbound ? remote : vip;
+    r.dst_ip = inbound ? vip : remote;
+    r.src_port = port();
+    r.dst_port = port();
+    r.protocol = kProtocols[rng.below(std::size(kProtocols))];
+    r.tcp_flags = static_cast<TcpFlags>(rng.below(64));
+    r.packets = static_cast<std::uint32_t>(1 + rng.below(1000));
+    r.bytes = r.packets * (40 + rng.below(1460));
+  }
+  return records;
+}
+
+using WindowKey = std::tuple<std::uint32_t, int, util::Minute>;
+
+TEST(AccumulateKernel, MatchesReferenceSwitchOnRandomRecords) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    PrefixSet blacklist;
+    const auto records = kernel_records(seed, blacklist);
+    const PrefixSet space = cloud_space();
+    std::map<WindowKey, ReferenceWindow> reference;
+    std::map<WindowKey, std::pair<VipMinuteStats, DistinctRemotes>> kernel;
+    for (const FlowRecord& r : records) {
+      const Direction dir = *classify(r, space);
+      const OrientedFlow flow{&r, dir};
+      const WindowKey key{flow.vip().value(), static_cast<int>(dir), r.minute};
+      reference[key].add(r, dir, blacklist);
+      auto& [w, remotes] = kernel[key];
+      const unsigned classes = accumulate(
+          w, {r.protocol, r.tcp_flags, r.src_port, flow.service_port(),
+              r.packets, r.bytes, blacklist.contains(flow.remote_ip())});
+      count_distinct(w, remotes.insert(flow.remote_ip().value(), classes));
+    }
+    ASSERT_EQ(kernel.size(), reference.size());
+    std::size_t blacklist_hits = 0;
+    for (const auto& [key, ref] : reference) {
+      const auto& [w, remotes] = kernel.at(key);
+      EXPECT_EQ(counters(w), counters(ref.stats));
+      EXPECT_EQ(remotes.size(), ref.remotes.size());
+      blacklist_hits += ref.stats.blacklist_flows;
+    }
+    EXPECT_GT(blacklist_hits, 0u);
+  }
+}
+
+TEST(AccumulateKernel, BatchWindowsMatchReferenceSwitch) {
+  PrefixSet blacklist;
+  auto records = kernel_records(4, blacklist);
+  const PrefixSet space = cloud_space();
+  std::map<WindowKey, ReferenceWindow> reference;
+  for (const FlowRecord& r : records) {
+    const Direction dir = *classify(r, space);
+    const OrientedFlow flow{&r, dir};
+    reference[{flow.vip().value(), static_cast<int>(dir), r.minute}].add(
+        r, dir, blacklist);
+  }
+  const auto trace = aggregate_windows(std::move(records), space, &blacklist);
+  ASSERT_EQ(trace.windows().size(), reference.size());
+  for (const VipMinuteStats& w : trace.windows()) {
+    const WindowKey key{w.vip.value(), static_cast<int>(w.direction), w.minute};
+    EXPECT_EQ(counters(w), counters(reference.at(key).stats));
+  }
+}
+
+TEST(DistinctRemotes, ReportsFreshClassesOnce) {
+  DistinctRemotes remotes;
+  EXPECT_EQ(remotes.insert(7, kSmtpRemote), kAnyRemote | kSmtpRemote);
+  EXPECT_EQ(remotes.insert(7, kSmtpRemote), 0u);
+  EXPECT_EQ(remotes.insert(7, kAdminRemote | kSmtpRemote), kAdminRemote);
+  EXPECT_EQ(remotes.insert(0, 0), unsigned{kAnyRemote});  // 0.0.0.0 is a remote too
+  for (std::uint32_t ip = 100; ip < 1100; ++ip) {
+    EXPECT_EQ(remotes.insert(ip, kBlacklistRemote),
+              kAnyRemote | kBlacklistRemote);
+  }
+  EXPECT_EQ(remotes.size(), 1002u);
+  const auto sorted = remotes.sorted();
+  ASSERT_EQ(sorted.size(), 1002u);
+  EXPECT_EQ(sorted[0], std::make_pair(0u, unsigned{kAnyRemote}));
+  EXPECT_EQ(sorted[1],
+            std::make_pair(7u, kAnyRemote | kSmtpRemote | kAdminRemote));
+  EXPECT_EQ(sorted.back(),
+            std::make_pair(1099u, kAnyRemote | kBlacklistRemote));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@
 // on these names. The snapshot_files() byte-identity oracle serializes and
 // re-verifies every checkpointed struct the serve fleet persists:
 // TenantBook, BucketBook, ShardBook, and ShedLedgerEntry through the
-// supervisor book, and OpenWindow, OpenIncident, SeriesState, State,
+// supervisor book, and OpenWindow, LiveIncident, SeriesState, State,
 // VipMinuteStats, and AttackIncident through each shard's DMCK monitor
 // checkpoint. Add a new checkpointed struct to the fleet and the tripwire
 // fails until it is named (and exercised) here.
@@ -222,7 +222,9 @@ bool run_crash_cell(exec::ThreadPool* pool, const fs::path& dir,
     fs::remove_all(dir);
     return true;
   }
-  if (report.generation < 0) EXPECT_EQ(report.resume_index, 0u);
+  if (report.generation < 0) {
+    EXPECT_EQ(report.resume_index, 0u);
+  }
   for (std::size_t i = report.resume_index; i < feed.size(); ++i) {
     resumed->ingest_routed(feed[i]);
   }

@@ -96,7 +96,9 @@ TEST_F(TraceGeneratorTest, AttackEpisodesLeaveTraffic) {
       }
     }
   }
-  if (loud > 0) EXPECT_EQ(with_traffic, loud);
+  if (loud > 0) {
+    EXPECT_EQ(with_traffic, loud);
+  }
 }
 
 TEST(ScenarioConfigTest, PresetsAreSane) {
