@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "netflow/frame.h"
 #include "netflow/trace_io.h"
 #include "util/rng.h"
 

@@ -334,39 +334,12 @@ BENCHMARK(BM_StudyEndToEnd)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// The unfused pipeline (fuse_pipeline = false), for direct comparison
-/// with BM_StudyEndToEnd. Peak RSS is a process high-water mark, so run
-/// this in its own process (tools/bench_json.sh does) when comparing
-/// memory.
-void BM_StudyEndToEndUnfused(benchmark::State& state) {
-  auto config = perf_config();
-  config.thread_count = static_cast<unsigned>(state.range(0));
-  config.fuse_pipeline = false;
-  for (auto _ : state) {
-    const core::Study study(config);
-    benchmark::DoNotOptimize(study.detection().incidents.data());
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(study.record_count()));
-  }
-  state.counters["peak_rss_mib"] = bench::peak_rss_mib();
-}
-BENCHMARK(BM_StudyEndToEndUnfused)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 /// Same scaling table at the paper-scale scenario (1.5k VIPs, 7 days) —
-/// slow; run explicitly with --benchmark_filter=PaperScale. The fused:0
-/// row is the unfused pipeline at 8 threads: its peak-RSS gap against
-/// fused:1 is the memory the global unsorted record vector and global sort
-/// scratch used to cost (run the two rows in separate processes — peak RSS
-/// is a process high-water mark).
+/// slow; run explicitly with --benchmark_filter=PaperScale, one row per
+/// process (peak RSS is a process high-water mark).
 void BM_StudyPaperScale(benchmark::State& state) {
   auto config = sim::ScenarioConfig::paper_scale();
   config.thread_count = static_cast<unsigned>(state.range(0));
-  config.fuse_pipeline = state.range(1) != 0;
   double bytes_per_record = 0.0;
   for (auto _ : state) {
     const core::Study study(config);
@@ -379,12 +352,11 @@ void BM_StudyPaperScale(benchmark::State& state) {
   state.counters["encoded_bytes_per_record"] = bytes_per_record;
 }
 BENCHMARK(BM_StudyPaperScale)
-    ->ArgNames({"threads", "fused"})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({8, 0})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

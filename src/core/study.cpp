@@ -10,22 +10,12 @@ Study::Study(sim::ScenarioConfig config, detect::DetectionConfig detection,
   // One pool for all three sharded stages; every stage merges its shards in
   // shard-index order, so the study is byte-identical for any thread_count.
   exec::ThreadPool pool(exec::workers_for(scenario_.config().thread_count));
-  if (scenario_.config().fuse_pipeline) {
-    // Fused streaming path: generation and aggregation run per VIP-range
-    // shard, so the unsorted global record vector never exists.
-    sim::FusedTrace fused = sim::generate_windows(scenario_, &pool);
-    truth_ = std::move(fused.truth);
-    record_count_ = fused.generated_records;
-    windowed_ = std::move(fused.windowed);
-  } else {
-    sim::TraceResult result = sim::generate_trace(scenario_, &pool);
-    truth_ = std::move(result.truth);
-    record_count_ = result.records.size();
-    windowed_ = netflow::aggregate_windows(std::move(result.records),
-                                           scenario_.vips().cloud_space(),
-                                           &scenario_.tds().as_prefix_set(), &pool,
-                                           &scenario_.config().spill);
-  }
+  // Fused streaming path: generation and aggregation run per VIP-range
+  // shard, so the unsorted global record vector never exists.
+  sim::FusedTrace fused = sim::generate_windows(scenario_, &pool);
+  truth_ = std::move(fused.truth);
+  record_count_ = fused.generated_records;
+  windowed_ = std::move(fused.windowed);
   const detect::DetectionPipeline pipeline(detection, timeouts);
   detection_ = pipeline.run(windowed_, &pool);
 }

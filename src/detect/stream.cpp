@@ -5,29 +5,24 @@
 #include <istream>
 #include <ostream>
 
-#include "netflow/trace_io.h"
+#include "netflow/frame.h"
 #include "netflow/varint.h"
 
 namespace dm::detect {
 
 using netflow::Direction;
 using netflow::FlowRecord;
+using netflow::FrameError;
 using netflow::OrientedFlow;
 using netflow::VipMinuteStats;
 
 namespace {
 
-// Checkpoint framing: magic + version, then one varint-sized CRC-protected
-// payload — the same shape as a trace block, so a damaged checkpoint fails
-// loudly instead of resuming from garbage.
+// A checkpoint is one frame (netflow/frame.h): magic + version, then one
+// varint-sized CRC-protected payload, so a damaged checkpoint fails loudly
+// instead of resuming from garbage.
 constexpr std::uint32_t kCheckpointMagic = 0x4b434d44;  // "DMCK" little-endian
 constexpr std::uint16_t kCheckpointVersion = 2;
-
-/// Upper bound on a plausible checkpoint payload. A malformed size varint
-/// must not become a multi-gigabyte allocation before the CRC ever gets a
-/// chance to reject the frame; 1 GiB is orders of magnitude above any real
-/// monitor state.
-constexpr std::uint64_t kMaxCheckpointPayload = 1ull << 30;
 
 /// Content hash for duplicate suppression: FNV-1a over every record field.
 /// 64 bits keeps accidental collisions (a distinct record silently dropped)
@@ -401,20 +396,10 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     put_hash_set(payload, hashes);
   }
 
-  // Frame: magic | version | payload-size varint | payload | crc32.
   std::vector<std::uint8_t> frame;
   frame.reserve(payload.size() + 24);
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>(kCheckpointMagic >> (8 * i)));
-  }
-  frame.push_back(static_cast<std::uint8_t>(kCheckpointVersion & 0xff));
-  frame.push_back(static_cast<std::uint8_t>(kCheckpointVersion >> 8));
-  put_u64(frame, payload.size());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = netflow::crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
+  netflow::put_frame_header(frame, kCheckpointMagic, kCheckpointVersion);
+  netflow::put_frame_body(frame, payload);
   out.write(reinterpret_cast<const char*>(frame.data()),
             static_cast<std::streamsize>(frame.size()));
 }
@@ -425,67 +410,10 @@ void StreamMonitor::restore(std::istream& in) {
   // state swapped in only at the very end. Every exit path before the final
   // swap therefore leaves this monitor byte-identical to its pre-call
   // state, including on empty and truncated streams.
-  const auto read_bytes = [&in](std::uint8_t* dst, std::size_t n,
-                                const char* what) {
-    in.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in.gcount()) != n) {
-      throw CheckpointError(CheckpointError::Kind::kTruncated,
-                            std::string("checkpoint: truncated ") + what);
-    }
-  };
-
-  std::uint8_t head[6];
-  read_bytes(head, sizeof head, "header");
-  const std::uint32_t magic = static_cast<std::uint32_t>(head[0]) |
-                              (static_cast<std::uint32_t>(head[1]) << 8) |
-                              (static_cast<std::uint32_t>(head[2]) << 16) |
-                              (static_cast<std::uint32_t>(head[3]) << 24);
-  if (magic != kCheckpointMagic) {
-    throw CheckpointError(CheckpointError::Kind::kBadMagic,
-                          "checkpoint: bad magic (not a DMCK checkpoint)");
-  }
-  const std::uint16_t version = static_cast<std::uint16_t>(
-      head[4] | (static_cast<std::uint16_t>(head[5]) << 8));
-  if (version != kCheckpointVersion) {
-    throw CheckpointError(
-        CheckpointError::Kind::kBadVersion,
-        "checkpoint: unsupported version " + std::to_string(version));
-  }
-
-  std::uint64_t payload_size = 0;
-  int shift = 0;
-  for (;;) {
-    std::uint8_t b;
-    read_bytes(&b, 1, "payload size");
-    if (shift > 63) {
-      throw CheckpointError(CheckpointError::Kind::kOversized,
-                            "checkpoint: oversized payload varint");
-    }
-    payload_size |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  // A corrupt size varint must fail the size check, not become a huge
-  // allocation: the cap rejects it before the vector is ever sized.
-  if (payload_size > kMaxCheckpointPayload) {
-    throw CheckpointError(
-        CheckpointError::Kind::kOversized,
-        "checkpoint: implausible payload size " + std::to_string(payload_size));
-  }
-
-  std::vector<std::uint8_t> payload(payload_size);
-  if (payload_size > 0) read_bytes(payload.data(), payload.size(), "payload");
-  std::uint8_t crc_bytes[4];
-  read_bytes(crc_bytes, sizeof crc_bytes, "CRC");
-  const std::uint32_t expected = static_cast<std::uint32_t>(crc_bytes[0]) |
-                                 (static_cast<std::uint32_t>(crc_bytes[1]) << 8) |
-                                 (static_cast<std::uint32_t>(crc_bytes[2]) << 16) |
-                                 (static_cast<std::uint32_t>(crc_bytes[3]) << 24);
-  const std::uint32_t actual = netflow::crc32(payload);
-  if (expected != actual) {
-    throw CheckpointError(CheckpointError::Kind::kCrcMismatch,
-                          "checkpoint: CRC mismatch");
-  }
+  std::vector<std::uint8_t> payload;
+  netflow::read_frame_header(in, kCheckpointMagic, kCheckpointVersion,
+                             "checkpoint");
+  netflow::read_frame_body(in, payload, {}, "checkpoint");
 
   netflow::CheckedCursor cur(payload, "checkpoint");
   const auto get_u64 = [&cur] { return cur.varint(); };
@@ -514,8 +442,8 @@ void StreamMonitor::restore(std::istream& in) {
   std::uint64_t incidents = 0;
 
   // A CRC-valid payload that still fails to decode (an encoder bug, or a
-  // 2^-32 CRC collision over damaged bytes) surfaces as a structured
-  // kMalformedPayload, and the monitor stays untouched.
+  // 2^-32 CRC collision over damaged bytes) surfaces as a FrameError of
+  // kind kMalformedPayload, and the monitor stays untouched.
   try {
   watermark = get_i64();
   max_seen = get_i64();
@@ -648,15 +576,13 @@ void StreamMonitor::restore(std::istream& in) {
     for (std::uint64_t h = 0; h < hash_count; ++h) hashes.insert(get_u64());
   }
 
-  } catch (const CheckpointError&) {
-    throw;
   } catch (const FormatError& e) {
-    throw CheckpointError(CheckpointError::Kind::kMalformedPayload, e.what());
+    throw FrameError(FrameError::Kind::kMalformedPayload, e.what());
   }
 
   if (!cur.exhausted()) {
-    throw CheckpointError(CheckpointError::Kind::kTrailingBytes,
-                          "checkpoint: trailing bytes after payload");
+    throw FrameError(FrameError::Kind::kTrailingBytes,
+                     "checkpoint: trailing bytes after payload");
   }
 
   open_minutes_ = std::move(open_minutes);

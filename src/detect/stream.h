@@ -15,9 +15,8 @@
 // windows can be suppressed; malformed records are quarantined; declared
 // collector outages (note_outage) are excluded from detector baselines so
 // a feed gap is not mistaken for a traffic collapse. checkpoint()/restore()
-// serialize the complete monitor state through the trace format's
-// varint/CRC framing, so a crashed monitor resumes byte-identically on an
-// in-order feed.
+// serialize the complete monitor state as one DMCK frame (netflow/frame.h),
+// so a crashed monitor resumes byte-identically on an in-order feed.
 #pragma once
 
 #include <functional>
@@ -29,36 +28,8 @@
 #include "detect/detectors.h"
 #include "detect/incident.h"
 #include "netflow/window_aggregator.h"
-#include "util/error.h"
 
 namespace dm::detect {
-
-/// Structured failure from StreamMonitor::restore. Derives from FormatError
-/// so existing catch sites keep working, but carries a machine-readable
-/// Kind so supervisors can distinguish "not a checkpoint at all" from "a
-/// checkpoint this build cannot read" from "a damaged checkpoint" when
-/// deciding which generation to fall back to. restore() guarantees the
-/// monitor is untouched whenever this is thrown.
-class CheckpointError : public FormatError {
- public:
-  enum class Kind {
-    kTruncated,         ///< stream ended inside the frame
-    kBadMagic,          ///< not a DMCK checkpoint
-    kBadVersion,        ///< DMCK, but a version this build does not read
-    kOversized,         ///< frame claims an implausibly large payload
-    kCrcMismatch,       ///< payload bytes fail the frame CRC
-    kMalformedPayload,  ///< CRC passed but the payload does not decode
-    kTrailingBytes,     ///< payload decoded with bytes left over
-  };
-
-  CheckpointError(Kind kind, const std::string& what)
-      : FormatError(what), kind_(kind) {}
-
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-
- private:
-  Kind kind_;
-};
 
 /// Degraded-feed knobs. Defaults reproduce the paper-strict behavior
 /// (no reorder tolerance, no duplicate suppression).
@@ -111,16 +82,15 @@ class StreamMonitor {
   void finish();
 
   /// Serializes the complete monitor state (open windows, detector
-  /// baselines, pending incidents, counters, outages, dedup sets) through
-  /// the varint/CRC framing. Deterministic: equal states produce equal
-  /// bytes.
+  /// baselines, pending incidents, counters, outages, dedup sets) as one
+  /// DMCK frame. Deterministic: equal states produce equal bytes.
   void checkpoint(std::ostream& out) const;
 
   /// Restores state captured by checkpoint() into this monitor, replacing
   /// its current state. The monitor must have been constructed with the
   /// same DetectionConfig/TimeoutTable/StreamConfig (those are not
-  /// serialized). Throws CheckpointError (a FormatError) on damaged input —
-  /// empty streams, truncated frames, CRC mismatches, and CRC-valid but
+  /// serialized). Throws netflow::FrameError on damaged input — empty
+  /// streams, truncated frames, CRC mismatches, and CRC-valid but
   /// undecodable payloads included — and leaves the monitor's state exactly
   /// as it was before the call in every failure case: the frame is read and
   /// CRC-validated in full, decoded into fresh state, and only then swapped

@@ -164,80 +164,4 @@ void radix_sort(std::vector<T>& items, KeyFn&& key) {
   }
 }
 
-/// 16-bit-digit variant for 32-bit keys: two scatter passes instead of
-/// four. Stable, so it yields exactly the permutation radix_sort does (the
-/// stable order under a total key is unique) — digit width is purely a
-/// throughput choice. The two histograms are 64Ki counters each (512 KiB
-/// total) and the scatter fans out over up to 64Ki destination streams, so
-/// whether halving the pass count beats the extra cache/TLB pressure is
-/// host-dependent: on the reference host the paper-scale shard sort (~200K
-/// items per shard) measured neutral-to-slower than the 8-bit sort, so the
-/// aggregation pipeline stays on radix_sort. Kept as a library variant for
-/// hosts/inputs where two passes win; differential tests pin it to the
-/// 8-bit permutation. Inputs below half a histogram fall through.
-template <typename T, typename KeyFn>
-void radix_sort_wide(std::vector<T>& items, KeyFn&& key) {
-  using K = std::decay_t<decltype(key(items[0]))>;
-  static_assert(std::is_unsigned_v<K> && sizeof(K) <= 4,
-                "radix_sort_wide takes 32-bit keys");
-  constexpr std::size_t kBuckets = std::size_t{1} << 16;
-  const std::size_t n = items.size();
-  if (n < kBuckets / 2) {
-    radix_sort(items, std::forward<KeyFn>(key));
-    return;
-  }
-  assert(n <= UINT32_MAX);
-
-  std::vector<std::uint32_t> keys;
-  keys.reserve(n);
-  for (const T& item : items) keys.push_back(key(item));
-
-  // One pre-pass builds both digit histograms.
-  std::vector<std::uint32_t> counts(2 * kBuckets, 0);
-  for (const std::uint32_t k : keys) {
-    ++counts[k & 0xffff];
-    ++counts[kBuckets + (k >> 16)];
-  }
-
-  std::vector<T> scratch_items(n);
-  std::vector<std::uint32_t> scratch_keys(n);
-  T* src_items = items.data();
-  T* dst_items = scratch_items.data();
-  std::uint32_t* src_keys = keys.data();
-  std::uint32_t* dst_keys = scratch_keys.data();
-
-  for (std::size_t d = 0; d < 2; ++d) {
-    std::uint32_t* count = counts.data() + d * kBuckets;
-    const std::size_t shift = d * 16;
-    // A digit all items share sorts nothing — skip the pass (any key's
-    // bucket holding every item proves the digit constant).
-    if (count[(src_keys[0] >> shift) & 0xffff] == n) continue;
-    std::uint32_t offset = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint32_t next = offset + count[b];
-      count[b] = offset;
-      offset = next;
-    }
-    constexpr std::size_t kScatterPrefetch = 16;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kScatterPrefetch < n) {
-        const std::size_t ahead =
-            (src_keys[i + kScatterPrefetch] >> shift) & 0xffff;
-        prefetch_write(dst_items + count[ahead]);
-        prefetch_write(dst_keys + count[ahead]);
-      }
-      const std::size_t bucket = (src_keys[i] >> shift) & 0xffff;
-      const std::uint32_t dst = count[bucket]++;
-      dst_items[dst] = std::move(src_items[i]);
-      dst_keys[dst] = src_keys[i];
-    }
-    std::swap(src_items, dst_items);
-    std::swap(src_keys, dst_keys);
-  }
-
-  if (src_items != items.data()) {
-    std::move(scratch_items.begin(), scratch_items.end(), items.begin());
-  }
-}
-
 }  // namespace dm::exec

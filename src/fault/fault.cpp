@@ -4,11 +4,15 @@
 #include <numeric>
 #include <tuple>
 
+#include "netflow/frame.h"
+#include "netflow/segment_store.h"
 #include "netflow/trace_io.h"
 
 namespace dm::fault {
 
 using netflow::FlowRecord;
+using netflow::kFrameHeaderBytes;
+using netflow::kSegmentHeaderBytes;
 
 namespace {
 
@@ -29,14 +33,6 @@ constexpr std::uint64_t kCkptFlipStream = 48;      // checkpoint payload flips
 constexpr std::uint64_t kCkptHeaderStream = 49;    // checkpoint header flip
 constexpr std::uint64_t kCkptTruncateStream = 50;  // checkpoint tail chop
 constexpr std::uint64_t kCkptTornStream = 51;      // torn-write prefix
-
-/// Segment header size (netflow/segment_store.h format) — the boundary
-/// between header-CRC and body-CRC territory.
-constexpr std::size_t kSegmentHeaderBytes = 56;
-
-/// DMCK checkpoint header size (detect/stream.cpp framing): 4-byte magic +
-/// 2-byte version; everything after it is the varint-sized CRC'd payload.
-constexpr std::size_t kCheckpointHeaderBytes = 6;
 
 }  // namespace
 
@@ -166,7 +162,7 @@ CheckpointDamage FaultInjector::corrupt_checkpoint(
     std::vector<std::uint8_t>& bytes, const CheckpointPlan& plan,
     std::uint64_t file_index) const {
   CheckpointDamage damage;
-  if (bytes.size() <= kCheckpointHeaderBytes) return damage;
+  if (bytes.size() <= kFrameHeaderBytes) return damage;
 
   // Torn prefix replaces the whole file: no other family can act after it
   // (a torn write leaves nothing else to damage), so it goes first and
@@ -174,7 +170,7 @@ CheckpointDamage FaultInjector::corrupt_checkpoint(
   if (plan.torn_prefix) {
     util::Rng rng = base_.split(kCkptTornStream).split(file_index);
     const std::size_t keep =
-        static_cast<std::size_t>(rng.below(kCheckpointHeaderBytes));
+        static_cast<std::size_t>(rng.below(kFrameHeaderBytes));
     damage.bytes_removed = bytes.size() - keep;
     damage.torn = true;
     bytes.resize(keep);
@@ -185,20 +181,20 @@ CheckpointDamage FaultInjector::corrupt_checkpoint(
   // in the ledger always point at bytes that survive on disk.
   if (plan.truncate_tail) {
     util::Rng rng = base_.split(kCkptTruncateStream).split(file_index);
-    const std::uint64_t payload = bytes.size() - kCheckpointHeaderBytes;
+    const std::uint64_t payload = bytes.size() - kFrameHeaderBytes;
     const std::size_t cut =
-        kCheckpointHeaderBytes + static_cast<std::size_t>(rng.below(payload));
+        kFrameHeaderBytes + static_cast<std::size_t>(rng.below(payload));
     damage.bytes_removed = bytes.size() - cut;
     bytes.resize(cut);
   }
 
   // Payload bit flips: offsets land past the header so the damage is
   // attributable to the payload CRC alone.
-  if (bytes.size() > kCheckpointHeaderBytes && plan.bit_flips > 0) {
+  if (bytes.size() > kFrameHeaderBytes && plan.bit_flips > 0) {
     util::Rng rng = base_.split(kCkptFlipStream).split(file_index);
-    const std::uint64_t payload = bytes.size() - kCheckpointHeaderBytes;
+    const std::uint64_t payload = bytes.size() - kFrameHeaderBytes;
     for (std::size_t i = 0; i < plan.bit_flips; ++i) {
-      const std::uint64_t offset = kCheckpointHeaderBytes + rng.below(payload);
+      const std::uint64_t offset = kFrameHeaderBytes + rng.below(payload);
       bytes[offset] ^= static_cast<std::uint8_t>(1u << rng.below(8));
       damage.flipped_offsets.push_back(offset);
     }
@@ -207,7 +203,7 @@ CheckpointDamage FaultInjector::corrupt_checkpoint(
   // Header flip last: independent of payload damage by construction.
   if (plan.corrupt_header) {
     util::Rng rng = base_.split(kCkptHeaderStream).split(file_index);
-    const std::uint64_t offset = rng.below(kCheckpointHeaderBytes);
+    const std::uint64_t offset = rng.below(kFrameHeaderBytes);
     bytes[offset] ^= static_cast<std::uint8_t>(1u << rng.below(8));
     damage.header_corrupted = true;
   }

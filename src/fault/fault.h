@@ -74,12 +74,13 @@ struct SegmentDamage {
   }
 };
 
-/// Corruption plan for one DMCK-framed StreamMonitor checkpoint file. The
-/// frame is a 6-byte header (magic + version) followed by a varint-sized
-/// CRC-protected payload, so the interesting failure surfaces are: payload
-/// damage (CRC path), header damage (magic/version path), tail loss (size
-/// path), and the torn-write prefix a crash mid-`write(2)` leaves when the
-/// file was not written through the temp + fsync + rename protocol.
+/// Corruption plan for one framed file (netflow/frame.h): a DMCK monitor
+/// checkpoint or a DMSV supervisor book. A frame is a 6-byte header (magic
+/// + version) followed by a varint-sized CRC-protected payload, so the
+/// interesting failure surfaces are: payload damage (CRC path), header
+/// damage (magic/version path), tail loss (size path), and the torn-write
+/// prefix a crash mid-`write(2)` leaves when the file was not written
+/// through the temp + fsync + rename protocol.
 struct CheckpointPlan {
   std::size_t bit_flips = 0;    ///< random single-bit flips past the header
   bool corrupt_header = false;  ///< flip one bit inside the 6-byte header
@@ -153,11 +154,11 @@ class FaultInjector {
                                 const SegmentPlan& plan,
                                 std::uint64_t file_index) const;
 
-  /// Applies `plan` to one DMCK checkpoint file's bytes in place, with the
-  /// same (seed, plan, file_index) reproducibility contract as
-  /// corrupt_segment: each file of a checkpoint generation takes distinct,
-  /// individually replayable damage. Files shorter than the 6-byte DMCK
-  /// header are returned untouched (already torn).
+  /// Applies `plan` to one framed file's bytes in place, with the same
+  /// (seed, plan, file_index) reproducibility contract as corrupt_segment:
+  /// each file of a checkpoint generation takes distinct, individually
+  /// replayable damage. Files no longer than the 6-byte frame header are
+  /// returned untouched (already torn).
   [[nodiscard]] CheckpointDamage corrupt_checkpoint(std::vector<std::uint8_t>& bytes,
                                       const CheckpointPlan& plan,
                                       std::uint64_t file_index) const;

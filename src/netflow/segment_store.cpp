@@ -13,7 +13,7 @@
 #include <fstream>
 #include <span>
 
-#include "netflow/trace_io.h"
+#include "netflow/frame.h"
 #include "util/error.h"
 
 namespace dm::netflow {
@@ -23,39 +23,14 @@ namespace fs = std::filesystem;
 
 constexpr std::uint32_t kMagic = 0x47534D44u;  // "DMSG" read little-endian
 constexpr std::uint16_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 56;
 /// Geometry sanity cap: no single section of a real segment approaches 1 TiB
 /// (segments seal at tens of MiB), so any header field past this is damage,
 /// and the cap keeps the expected-size arithmetic below overflow-free.
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 40;
 
-void store_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void store_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint16_t load_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-/// Section offsets within the body (relative to file offset kHeaderSize,
-/// which is 8-aligned — so payload_offs/checkpoints stay 8-aligned in the
-/// mapping).
+/// Section offsets within the body (relative to file offset
+/// kSegmentHeaderBytes, which is 8-aligned — so payload_offs/checkpoints stay
+/// 8-aligned in the mapping).
 struct Geometry {
   std::uint64_t off_payload_offs = 0;
   std::uint64_t off_checkpoints = 0;
@@ -129,21 +104,21 @@ void write_segment_file(const std::string& path,
   copy_section(g.off_headers, v.headers, meta.header_bytes);
   copy_section(g.off_payload, v.payload, meta.payload_bytes);
 
-  std::uint8_t header[kHeaderSize] = {};
-  store_u32(header + 0, kMagic);
-  store_u16(header + 4, kVersion);
-  store_u16(header + 6, 0);  // flags
-  store_u64(header + 8, meta.records);
-  store_u64(header + 16, meta.runs);
-  store_u64(header + 24, meta.checkpoints);
-  store_u64(header + 32, meta.header_bytes);
-  store_u64(header + 40, meta.payload_bytes);
-  store_u32(header + 48, crc32({body.data(), body.size()}));
-  store_u32(header + 52, crc32({header, 52}));
+  std::uint8_t header[kSegmentHeaderBytes] = {};
+  store_le(header + 0, kMagic);
+  store_le(header + 4, kVersion);
+  store_le(header + 6, std::uint16_t{0});  // flags
+  store_le(header + 8, meta.records);
+  store_le(header + 16, meta.runs);
+  store_le(header + 24, meta.checkpoints);
+  store_le(header + 32, meta.header_bytes);
+  store_le(header + 40, meta.payload_bytes);
+  store_le(header + 48, crc32({body.data(), body.size()}));
+  store_le(header + 52, crc32({header, 52}));
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw Error("segment store: cannot create " + path);
-  out.write(reinterpret_cast<const char*>(header), kHeaderSize);
+  out.write(reinterpret_cast<const char*>(header), kSegmentHeaderBytes);
   out.write(reinterpret_cast<const char*>(body.data()),
             static_cast<std::streamsize>(body.size()));
   out.flush();
@@ -177,7 +152,7 @@ MappedSegment::MapAttempt MappedSegment::try_map(const std::string& path) {
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   out.file_bytes = size;
-  if (size < kHeaderSize) {
+  if (size < kSegmentHeaderBytes) {
     ::close(fd);
     return fail(SegmentFileStatus::kTruncated,
                 "file shorter than the 56-byte segment header");
@@ -196,15 +171,10 @@ MappedSegment::MapAttempt MappedSegment::try_map(const std::string& path) {
   seg->file_bytes_ = size;
 
   const std::uint8_t* h = seg->base_;
-  if (load_u32(h) != kMagic) {
-    return fail(SegmentFileStatus::kBadHeader, "bad magic (not a .dmseg)");
+  if (const auto bad = check_frame_header({h, size}, kMagic, kVersion)) {
+    return fail(SegmentFileStatus::kBadHeader, describe(*bad));
   }
-  if (load_u16(h + 4) != kVersion) {
-    return fail(SegmentFileStatus::kBadHeader,
-                "unsupported segment version " +
-                    std::to_string(load_u16(h + 4)));
-  }
-  const std::uint32_t stored_header_crc = load_u32(h + 52);
+  const std::uint32_t stored_header_crc = load_le<std::uint32_t>(h + 52);
   const std::uint32_t actual_header_crc = crc32({h, 52});
   if (stored_header_crc != actual_header_crc) {
     return fail(SegmentFileStatus::kBadHeader, "header CRC mismatch");
@@ -212,18 +182,18 @@ MappedSegment::MapAttempt MappedSegment::try_map(const std::string& path) {
 
   SegmentMeta meta;
   // dmlint: covers(meta, SegmentMeta)
-  meta.records = load_u64(h + 8);
-  meta.runs = load_u64(h + 16);
-  meta.checkpoints = load_u64(h + 24);
-  meta.header_bytes = load_u64(h + 32);
-  meta.payload_bytes = load_u64(h + 40);
+  meta.records = load_le<std::uint64_t>(h + 8);
+  meta.runs = load_le<std::uint64_t>(h + 16);
+  meta.checkpoints = load_le<std::uint64_t>(h + 24);
+  meta.header_bytes = load_le<std::uint64_t>(h + 32);
+  meta.payload_bytes = load_le<std::uint64_t>(h + 40);
   // dmlint: covers-end(meta)
   out.header_records = meta.records;
   if (!plausible(meta)) {
     return fail(SegmentFileStatus::kBadHeader, "implausible segment geometry");
   }
   const Geometry g = geometry_of(meta);
-  const std::uint64_t expected = kHeaderSize + g.body_bytes;
+  const std::uint64_t expected = kSegmentHeaderBytes + g.body_bytes;
   if (size < expected) {
     return fail(SegmentFileStatus::kTruncated,
                 "file is " + std::to_string(size) + " bytes, header implies " +
@@ -235,8 +205,8 @@ MappedSegment::MapAttempt MappedSegment::try_map(const std::string& path) {
   }
 
   seg->meta_ = meta;
-  seg->body_crc_ = load_u32(h + 48);
-  const std::uint8_t* body = seg->base_ + kHeaderSize;
+  seg->body_crc_ = load_le<std::uint32_t>(h + 48);
+  const std::uint8_t* body = seg->base_ + kSegmentHeaderBytes;
   seg->view_ = ColumnarView{
       body + g.off_headers,
       body + g.off_payload,
@@ -262,7 +232,8 @@ std::shared_ptr<const MappedSegment> MappedSegment::map(
 }
 
 bool MappedSegment::body_crc_ok() const noexcept {
-  return crc32({base_ + kHeaderSize, file_bytes_ - kHeaderSize}) == body_crc_;
+  return crc32({base_ + kSegmentHeaderBytes,
+                file_bytes_ - kSegmentHeaderBytes}) == body_crc_;
 }
 
 SegmentStore SegmentStore::open(const std::string& directory) {

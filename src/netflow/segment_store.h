@@ -48,6 +48,9 @@
 
 namespace dm::netflow {
 
+/// Fixed segment header size; the body starts here, 8-aligned.
+inline constexpr std::size_t kSegmentHeaderBytes = 56;
+
 /// The segment header's variable fields — the decode geometry a reader must
 /// restore before it can interpret the body.
 struct SegmentMeta {

@@ -1,10 +1,9 @@
 #include "netflow/trace_io.h"
 
-#include <array>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <ostream>
 
 #include "netflow/varint.h"
@@ -14,235 +13,102 @@ namespace dm::netflow {
 namespace {
 
 constexpr std::size_t kBlockRecords = 4096;
-constexpr std::uint64_t kHeaderBytes = 10;  // magic u32 + version u16 + sampling u32
-constexpr std::uint64_t kMaxVarintBytes = 10;
 // A record packs 9 varint fields; the payload leads with one base-minute
-// varint. These bounds make implausible block headers cheap to reject when
+// varint. These bounds reject an implausible block header before a payload
+// byte is allocated or read, and make it cheap to reject when
 // resynchronizing over damage.
 constexpr std::uint64_t kMinRecordPayloadBytes = 9;
 constexpr std::uint64_t kMaxRecordPayloadBytes = 9 * kMaxVarintBytes;
 
-std::string hex32(std::uint32_t v) {
-  char buf[11];
-  std::snprintf(buf, sizeof buf, "0x%08x", v);
-  return buf;
+/// Payload-size bounds of a block of `count` records, or nothing when the
+/// count itself is implausible. The strict reader, salvage and
+/// trace_layout all read block headers through this one check.
+std::optional<SizeBounds> block_bounds(std::uint64_t count) noexcept {
+  if (count > kBlockRecords) return std::nullopt;
+  return SizeBounds{1 + kMinRecordPayloadBytes * count,
+                    kMaxVarintBytes + kMaxRecordPayloadBytes * count};
 }
 
-/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is the
-/// classic bytewise table, and tables[k][b] advances tables[k - 1][b] by
-/// one more zero byte, so eight table lookups fold in eight input bytes.
-const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() {
-  static const auto tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[0][i] = c;
-    }
-    for (std::size_t k = 1; k < 8; ++k) {
-      for (std::size_t i = 0; i < 256; ++i) {
-        t[k][i] = t[0][t[k - 1][i] & 0xff] ^ (t[k - 1][i] >> 8);
-      }
-    }
-    return t;
-  }();
-  return tables;
-}
-
-// Varint/zigzag encoding and the bounds-checked CheckedCursor come from
-// netflow/varint.h — file input is untrusted, every read is checked.
-
-/// Decodes one CRC-verified block payload, appending `record_count` records
-/// to `out`. Throws dm::FormatError on any inconsistency between the
-/// payload and its declared record count.
-void decode_payload(std::span<const std::uint8_t> payload,
-                    std::uint64_t record_count, std::vector<FlowRecord>& out) {
+/// Decodes one CRC-verified block payload, appending `count` records to
+/// `out`. Returns why the payload does not decode (kMalformedPayload or
+/// kTrailingBytes), or nothing when it does; `out` may then hold a partial
+/// block.
+std::optional<FrameError::Kind> decode_payload(
+    std::span<const std::uint8_t> payload, std::uint64_t count,
+    std::vector<FlowRecord>& out) {
   CheckedCursor cursor{payload, "trace"};
-  const util::Minute base = unzigzag64(cursor.varint());
-  out.reserve(out.size() + record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    FlowRecord r;
-    r.minute = base + unzigzag64(cursor.varint());
-    r.src_ip = IPv4(static_cast<std::uint32_t>(cursor.varint()));
-    r.dst_ip = IPv4(static_cast<std::uint32_t>(cursor.varint()));
-    r.src_port = static_cast<std::uint16_t>(cursor.varint());
-    r.dst_port = static_cast<std::uint16_t>(cursor.varint());
-    r.protocol = static_cast<Protocol>(cursor.varint());
-    r.tcp_flags = static_cast<TcpFlags>(cursor.varint());
-    r.packets = static_cast<std::uint32_t>(cursor.varint());
-    r.bytes = cursor.varint();
-    out.push_back(r);
-  }
-  if (!cursor.exhausted()) {
-    throw FormatError("trace: trailing bytes after last record in block");
-  }
-}
-
-/// One attempt to decode a block at `pos` in a fully buffered trace.
-/// Never throws: failures come back as an error class so the salvage
-/// scanner can classify the damage and keep probing.
-enum class BlockError { kNone, kVarint, kTruncated, kCrc, kDecode };
-
-struct TryBlock {
-  bool ok = false;
-  bool end_marker = false;
-  std::size_t next = 0;  ///< first byte after the block (valid when ok)
-  BlockError error = BlockError::kNone;
-};
-
-TryBlock try_block(std::span<const std::uint8_t> buf, std::size_t pos,
-                   std::vector<FlowRecord>* out) {
-  TryBlock t;
-  const auto read_varint = [&](std::size_t& p, std::uint64_t& v) -> bool {
-    v = 0;
-    int shift = 0;
-    for (;;) {
-      if (p >= buf.size() || shift > 63) return false;
-      const std::uint8_t b = buf[p++];
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return true;
-      shift += 7;
-    }
-  };
-  std::size_t p = pos;
-  std::uint64_t count = 0;
-  if (!read_varint(p, count)) {
-    t.error = BlockError::kVarint;
-    return t;
-  }
-  if (count == 0) {
-    t.ok = true;
-    t.end_marker = true;
-    t.next = p;
-    return t;
-  }
-  std::uint64_t payload_size = 0;
-  if (count > kBlockRecords || !read_varint(p, payload_size)) {
-    t.error = BlockError::kVarint;
-    return t;
-  }
-  if (payload_size < 1 + kMinRecordPayloadBytes * count ||
-      payload_size > kMaxVarintBytes + kMaxRecordPayloadBytes * count) {
-    t.error = BlockError::kVarint;
-    return t;
-  }
-  if (p + payload_size + 4 > buf.size()) {
-    t.error = BlockError::kTruncated;
-    return t;
-  }
-  const auto payload = buf.subspan(p, payload_size);
-  p += payload_size;
-  std::uint32_t expected = 0;
-  for (int i = 0; i < 4; ++i) {
-    expected |= static_cast<std::uint32_t>(buf[p++]) << (8 * i);
-  }
-  if (crc32(payload) != expected) {
-    t.error = BlockError::kCrc;
-    return t;
-  }
   try {
-    std::vector<FlowRecord> records;
-    decode_payload(payload, count, records);
-    if (out != nullptr) {
-      out->insert(out->end(), records.begin(), records.end());
+    const auto base = static_cast<std::uint64_t>(unzigzag64(cursor.varint()));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      FlowRecord r;
+      r.minute = static_cast<util::Minute>(undelta64(base, cursor.varint()));
+      r.src_ip = IPv4(static_cast<std::uint32_t>(cursor.varint()));
+      r.dst_ip = IPv4(static_cast<std::uint32_t>(cursor.varint()));
+      r.src_port = static_cast<std::uint16_t>(cursor.varint());
+      r.dst_port = static_cast<std::uint16_t>(cursor.varint());
+      r.protocol = static_cast<Protocol>(cursor.varint());
+      r.tcp_flags = static_cast<TcpFlags>(cursor.varint());
+      r.packets = static_cast<std::uint32_t>(cursor.varint());
+      r.bytes = cursor.varint();
+      out.push_back(r);
     }
   } catch (const FormatError&) {
-    t.error = BlockError::kDecode;
-    return t;
+    // A varint ran off the payload. The cursor throws rather than returning
+    // a flag because a per-field check measured slower in this loop, and a
+    // CRC-valid payload fails here only if its writer did.
+    return FrameError::Kind::kMalformedPayload;
   }
-  t.ok = true;
-  t.next = p;
-  return t;
+  if (!cursor.exhausted()) return FrameError::Kind::kTrailingBytes;
+  return std::nullopt;
 }
 
-void write_u16(std::ostream& out, std::uint16_t v) {
-  const char bytes[2] = {static_cast<char>(v & 0xff),
-                         static_cast<char>(v >> 8)};
-  out.write(bytes, 2);
-}
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(bytes, 4);
-}
-
-std::uint16_t read_u16(std::istream& in) {
-  unsigned char bytes[2];
-  in.read(reinterpret_cast<char*>(bytes), 2);
-  if (!in) throw FormatError("trace: truncated header");
-  return static_cast<std::uint16_t>(bytes[0] | (bytes[1] << 8));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  unsigned char bytes[4];
-  in.read(reinterpret_cast<char*>(bytes), 4);
-  if (!in) throw FormatError("trace: truncated header");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  return v;
-}
-
-/// Reads a varint directly from the stream (used for block headers),
-/// advancing `offset` by the bytes consumed. Returns false cleanly on
-/// immediate EOF.
-bool stream_varint(std::istream& in, std::uint64_t& out, std::uint64_t& offset) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = in.get();
-    if (c == std::char_traits<char>::eof()) {
-      if (shift == 0) return false;
-      throw FormatError("trace: truncated block header at byte " +
-                        std::to_string(offset));
-    }
-    ++offset;
-    v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) {
-      out = v;
-      return true;
-    }
-    shift += 7;
-    if (shift > 63) {
-      throw FormatError("trace: varint overflow at byte " +
-                        std::to_string(offset));
-    }
+/// Reads the block at `pos` of a buffered trace — a record-count varint,
+/// then a body within block_bounds — and appends its records to `out`.
+/// Never throws, so the salvage scanner can probe byte by byte. A zero
+/// count is the end marker: no error and no payload. On any error `out` is
+/// left as it was, and a failed count varint reports like a failed size
+/// varint (size_read false).
+SpanBody read_block(std::span<const std::uint8_t> buf, std::size_t pos,
+                    std::uint64_t& count, std::vector<FlowRecord>& out) {
+  SpanBody block;
+  if (!try_get_varint(buf, pos, count)) {
+    block.error = FrameError::Kind::kTruncated;
+    return block;
   }
+  if (count == 0) {
+    block.end = pos;
+    return block;
+  }
+  const std::optional<SizeBounds> bounds = block_bounds(count);
+  if (!bounds) {
+    block.error = FrameError::Kind::kOversized;
+    return block;
+  }
+  block = read_frame_body(buf, pos, *bounds);
+  if (!block.error) {
+    const std::size_t before = out.size();
+    block.error = decode_payload(block.payload, count, out);
+    if (block.error) out.resize(before);
+  }
+  return block;
 }
 
-void stream_put_varint(std::ostream& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.put(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.put(static_cast<char>(v));
+FrameError located(const FrameError& e, std::uint64_t block,
+                   std::uint64_t offset) {
+  return FrameError(e.kind(), std::string(e.what()) + " (block " +
+                                  std::to_string(block) + " at byte " +
+                                  std::to_string(offset) + ")");
 }
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
-  const auto& t = crc_tables();
-  std::uint32_t crc = 0xffffffffu;
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    // Bytes are assembled explicitly, so the result is the same on any
-    // host byte order.
-    const std::uint32_t lo = crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-                                    std::uint32_t{p[2]} << 16 |
-                                    std::uint32_t{p[3]} << 24);
-    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
-          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
-  }
-  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
-}
-
 TraceWriter::TraceWriter(std::ostream& out, std::uint32_t sampling_denominator)
     : out_(out) {
-  write_u32(out_, kTraceMagic);
-  write_u16(out_, kTraceVersion);
-  write_u32(out_, sampling_denominator);
+  put_frame_header(frame_, kTraceMagic, kTraceVersion);
+  frame_.resize(kTraceHeaderBytes);
+  store_le(frame_.data() + kFrameHeaderBytes, sampling_denominator);
+  out_.write(reinterpret_cast<const char*>(frame_.data()),
+             static_cast<std::streamsize>(frame_.size()));
   pending_.reserve(kBlockRecords);
 }
 
@@ -264,56 +130,6 @@ void TraceWriter::write_all(std::span<const FlowRecord> records) {
   for (const auto& r : records) write(r);
 }
 
-void TraceWriter::write_all(ColumnarRecords::Range records) {
-  for (const FlowRecord& r : records) write(r);
-}
-
-void TraceWriter::write_all(RecordStore::Range records) {
-  for (const FlowRecord& r : records) write(r);
-}
-
-namespace {
-
-/// Streams every block of `cursor` into `writer`, reassembling wire-order
-/// records from the SoA columns (the inverse of the codec's orientation
-/// split).
-template <typename BlockCursorT>
-void write_decoded_blocks(TraceWriter& writer, BlockCursorT cursor) {
-  DecodedBlock block;
-  FlowRecord r;
-  while (cursor.next(block)) {
-    for (std::size_t i = 0; i < block.count; ++i) {
-      r.minute = block.minute[i];
-      const IPv4 vip(block.vip[i]);
-      const IPv4 remote(block.remote[i]);
-      if (static_cast<Direction>(block.direction[i]) == Direction::kInbound) {
-        r.src_ip = remote;
-        r.dst_ip = vip;
-      } else {
-        r.src_ip = vip;
-        r.dst_ip = remote;
-      }
-      r.src_port = block.src_port[i];
-      r.dst_port = block.dst_port[i];
-      r.protocol = static_cast<Protocol>(block.protocol[i]);
-      r.tcp_flags = static_cast<TcpFlags>(block.tcp_flags[i]);
-      r.packets = block.packets[i];
-      r.bytes = block.bytes[i];
-      writer.write(r);
-    }
-  }
-}
-
-}  // namespace
-
-void TraceWriter::write_all(const ColumnarRecords& records) {
-  write_decoded_blocks(*this, records.block_cursor_at(0));
-}
-
-void TraceWriter::write_all(const RecordStore& store) {
-  write_decoded_blocks(*this, store.block_cursor_at(0));
-}
-
 void TraceWriter::flush_block() {
   if (pending_.empty()) return;
   std::vector<std::uint8_t> payload;
@@ -321,7 +137,8 @@ void TraceWriter::flush_block() {
   const util::Minute base = pending_.front().minute;
   put_varint(payload, zigzag64(base));
   for (const FlowRecord& r : pending_) {
-    put_varint(payload, zigzag64(r.minute - base));
+    put_varint(payload, delta64(static_cast<std::uint64_t>(r.minute),
+                                static_cast<std::uint64_t>(base)));
     put_varint(payload, r.src_ip.value());
     put_varint(payload, r.dst_ip.value());
     put_varint(payload, r.src_port);
@@ -331,11 +148,11 @@ void TraceWriter::flush_block() {
     put_varint(payload, r.packets);
     put_varint(payload, r.bytes);
   }
-  stream_put_varint(out_, pending_.size());
-  stream_put_varint(out_, payload.size());
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  write_u32(out_, crc32(payload));
+  frame_.clear();
+  put_varint(frame_, pending_.size());
+  put_frame_body(frame_, payload);
+  out_.write(reinterpret_cast<const char*>(frame_.data()),
+             static_cast<std::streamsize>(frame_.size()));
   if (!out_) throw FormatError("trace: write failure");
   pending_.clear();
 }
@@ -343,7 +160,7 @@ void TraceWriter::flush_block() {
 void TraceWriter::finish() {
   if (finished_) return;
   flush_block();
-  stream_put_varint(out_, 0);  // end marker
+  out_.put(0);  // end marker: a zero record count
   out_.flush();
   finished_ = true;
   if (!out_) throw FormatError("trace: write failure at finish");
@@ -367,66 +184,54 @@ TraceReader::TraceReader(std::istream& in, ReadMode mode)
     salvage_all();
     return;
   }
-  if (read_u32(in_) != kTraceMagic) throw FormatError("trace: bad magic");
-  const std::uint16_t version = read_u16(in_);
-  if (version != kTraceVersion) {
-    throw FormatError("trace: unsupported version " + std::to_string(version));
+  read_frame_header(in_, kTraceMagic, kTraceVersion, "trace");
+  std::uint8_t sampling[4];
+  in_.read(reinterpret_cast<char*>(sampling), sizeof sampling);
+  if (!in_) {
+    throw FrameError(FrameError::Kind::kTruncated, "trace: truncated header");
   }
-  sampling_ = read_u32(in_);
-  if (sampling_ == 0) throw FormatError("trace: zero sampling denominator");
-  offset_ = kHeaderBytes;
+  sampling_ = load_le<std::uint32_t>(sampling);
+  if (sampling_ == 0) {
+    throw FrameError(FrameError::Kind::kMalformedPayload,
+                     "trace: zero sampling denominator");
+  }
+  offset_ = kTraceHeaderBytes;
 }
 
 bool TraceReader::load_block() {
   if (eof_) return false;
   const std::uint64_t block_offset = offset_;
-  const std::string where = "block " + std::to_string(block_index_) +
-                            " at byte " + std::to_string(block_offset);
-  std::uint64_t record_count = 0;
-  if (!stream_varint(in_, record_count, offset_)) {
-    throw FormatError("trace: missing end marker after " + where);
-  }
-  if (record_count == 0) {
-    eof_ = true;
-    report_.end_marker_seen = true;
-    return false;
-  }
-  std::uint64_t payload_size = 0;
-  if (!stream_varint(in_, payload_size, offset_)) {
-    throw FormatError("trace: truncated header of " + where);
-  }
-  std::vector<std::uint8_t> payload(payload_size);
-  in_.read(reinterpret_cast<char*>(payload.data()),
-           static_cast<std::streamsize>(payload_size));
-  if (!in_) {
-    throw FormatError("trace: truncated payload in " + where + " (wanted " +
-                      std::to_string(payload_size) + " bytes)");
-  }
-  offset_ += payload_size;
-  unsigned char crc_bytes[4];
-  in_.read(reinterpret_cast<char*>(crc_bytes), 4);
-  if (!in_) throw FormatError("trace: truncated CRC of " + where);
-  offset_ += 4;
-  std::uint32_t expected_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    expected_crc |= static_cast<std::uint32_t>(crc_bytes[i]) << (8 * i);
-  }
-  const std::uint32_t actual_crc = crc32(payload);
-  if (actual_crc != expected_crc) {
-    throw FormatError("trace: CRC mismatch in " + where + ": expected " +
-                      hex32(expected_crc) + ", actual " + hex32(actual_crc));
-  }
-
-  block_.clear();
   try {
-    decode_payload(payload, record_count, block_);
-  } catch (const FormatError& e) {
-    throw FormatError(std::string(e.what()) + " (" + where + ")");
+    std::uint64_t count = 0;
+    const std::size_t count_bytes = read_varint(in_, count, "trace");
+    if (count_bytes == 0) {
+      throw FrameError(FrameError::Kind::kTruncated,
+                       "trace: missing end marker");
+    }
+    offset_ += count_bytes;
+    if (count == 0) {
+      eof_ = true;
+      report_.end_marker_seen = true;
+      return false;
+    }
+    const std::optional<SizeBounds> bounds = block_bounds(count);
+    if (!bounds) {
+      throw FrameError(FrameError::Kind::kOversized,
+                       "trace: implausible record count " +
+                           std::to_string(count));
+    }
+    offset_ += read_frame_body(in_, payload_, *bounds, "trace");
+    block_.clear();
+    if (const auto bad = decode_payload(payload_, count, block_)) {
+      throw FrameError(*bad, std::string("trace: ") + describe(*bad));
+    }
+    report_.records_recovered += count;
+  } catch (const FrameError& e) {
+    throw located(e, block_index_, block_offset);
   }
   cursor_ = 0;
   ++block_index_;
   ++report_.blocks_decoded;
-  report_.records_recovered += record_count;
   report_.bytes_scanned = offset_;
   return true;
 }
@@ -439,21 +244,14 @@ void TraceReader::salvage_all() {
 
   std::size_t pos = 0;
   report_.header_valid = false;
-  if (buf.size() >= kHeaderBytes) {
-    std::uint32_t magic = 0;
-    std::uint32_t sampling = 0;
-    for (int i = 0; i < 4; ++i) {
-      magic |= static_cast<std::uint32_t>(buf[static_cast<std::size_t>(i)])
-               << (8 * i);
-      sampling |= static_cast<std::uint32_t>(buf[static_cast<std::size_t>(6 + i)])
-                  << (8 * i);
-    }
-    const std::uint16_t version =
-        static_cast<std::uint16_t>(buf[4] | (buf[5] << 8));
-    if (magic == kTraceMagic && version == kTraceVersion && sampling != 0) {
+  if (buf.size() >= kTraceHeaderBytes &&
+      !check_frame_header(bytes, kTraceMagic, kTraceVersion)) {
+    const auto sampling =
+        load_le<std::uint32_t>(buf.data() + kFrameHeaderBytes);
+    if (sampling != 0) {
       report_.header_valid = true;
       sampling_ = sampling;
-      pos = kHeaderBytes;
+      pos = kTraceHeaderBytes;
     }
   }
 
@@ -462,13 +260,17 @@ void TraceReader::salvage_all() {
   // payload) decodes, and account the gap as one lost range.
   bool in_damage = false;
   std::size_t damage_start = 0;
-  const auto tally = [&](BlockError error) {
-    switch (error) {
-      case BlockError::kVarint: ++report_.varint_errors; break;
-      case BlockError::kTruncated: ++report_.truncations; break;
-      case BlockError::kCrc: ++report_.crc_mismatches; break;
-      case BlockError::kDecode: ++report_.decode_errors; break;
-      case BlockError::kNone: break;
+  const auto tally = [&](const SpanBody& block) {
+    switch (*block.error) {
+      case FrameError::Kind::kTruncated:
+        // Only a payload or CRC cut off by the end of the buffer is a
+        // truncation; a header varint that runs off it is header damage.
+        ++(block.size_read ? report_.truncations : report_.varint_errors);
+        break;
+      case FrameError::Kind::kCrcMismatch: ++report_.crc_mismatches; break;
+      case FrameError::Kind::kMalformedPayload:
+      case FrameError::Kind::kTrailingBytes: ++report_.decode_errors; break;
+      default: ++report_.varint_errors; break;  // an implausible count or size
     }
   };
   const auto close_damage = [&](std::size_t end) {
@@ -479,8 +281,9 @@ void TraceReader::salvage_all() {
   };
 
   while (pos < buf.size()) {
-    const TryBlock t = try_block(bytes, pos, &block_);
-    if (t.ok && t.end_marker && t.next != buf.size()) {
+    std::uint64_t count = 0;
+    const SpanBody block = read_block(bytes, pos, count, block_);
+    if (!block.error && count == 0 && block.end != buf.size()) {
       // A zero count mid-file is either corruption or an end marker with
       // trailing garbage; keep scanning so blocks after it are recovered.
       if (!in_damage) {
@@ -491,21 +294,20 @@ void TraceReader::salvage_all() {
       ++pos;
       continue;
     }
-    if (t.ok) {
+    if (!block.error) {
       close_damage(pos);
-      if (t.end_marker) {
+      pos = block.end;
+      if (count == 0) {
         report_.end_marker_seen = true;
-        pos = t.next;
         break;
       }
       ++report_.blocks_decoded;
-      pos = t.next;
       continue;
     }
     if (!in_damage) {
       in_damage = true;
       damage_start = pos;
-      tally(t.error);
+      tally(block);
     }
     ++pos;
   }
@@ -539,24 +341,6 @@ void write_trace_file(const std::string& path, std::span<const FlowRecord> recor
   writer.finish();
 }
 
-void write_trace_file(const std::string& path, ColumnarRecords::Range records,
-                      std::uint32_t sampling_denominator) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw FormatError("trace: cannot open for writing: " + path);
-  TraceWriter writer(out, sampling_denominator);
-  writer.write_all(records);
-  writer.finish();
-}
-
-void write_trace_file(const std::string& path, RecordStore::Range records,
-                      std::uint32_t sampling_denominator) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw FormatError("trace: cannot open for writing: " + path);
-  TraceWriter writer(out, sampling_denominator);
-  writer.write_all(records);
-  writer.finish();
-}
-
 std::vector<FlowRecord> read_trace_file(const std::string& path,
                                         std::uint32_t* sampling) {
   std::ifstream in(path, std::ios::binary);
@@ -578,56 +362,44 @@ SalvageResult salvage_trace_file(const std::string& path) {
 }
 
 std::vector<BlockSpan> trace_layout(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) throw FormatError("trace: truncated header");
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) {
-    magic |= static_cast<std::uint32_t>(bytes[static_cast<std::size_t>(i)])
-             << (8 * i);
+  if (bytes.size() < kTraceHeaderBytes) {
+    throw FrameError(FrameError::Kind::kTruncated, "trace: truncated header");
   }
-  if (magic != kTraceMagic) throw FormatError("trace: bad magic");
+  if (const auto bad = check_frame_header(bytes, kTraceMagic, kTraceVersion)) {
+    throw FrameError(*bad, std::string("trace: ") + describe(*bad));
+  }
 
   std::vector<BlockSpan> layout;
-  std::size_t pos = kHeaderBytes;
+  std::vector<FlowRecord> scratch;
+  std::size_t pos = kTraceHeaderBytes;
   std::uint64_t record_index = 0;
   for (;;) {
-    const TryBlock t = try_block(bytes, pos, nullptr);
-    if (!t.ok) {
-      throw FormatError("trace: malformed block " +
-                        std::to_string(layout.size()) + " at byte " +
-                        std::to_string(pos));
+    std::uint64_t count = 0;
+    scratch.clear();
+    const SpanBody block = read_block(bytes, pos, count, scratch);
+    if (block.error) {
+      throw located(FrameError(*block.error,
+                               std::string("trace: ") + describe(*block.error)),
+                    layout.size(), pos);
     }
-    if (t.end_marker) {
-      if (t.next != bytes.size()) {
-        throw FormatError("trace: trailing bytes after end marker");
+    if (count == 0) {
+      if (block.end != bytes.size()) {
+        throw FrameError(FrameError::Kind::kTrailingBytes,
+                         "trace: trailing bytes after end marker");
       }
       return layout;
     }
-    // Re-derive the header split (count/payload varints) for the span.
-    std::size_t p = pos;
-    std::uint64_t record_count = 0;
-    std::uint64_t payload_size = 0;
-    const auto read_varint = [&](std::uint64_t& v) {
-      v = 0;
-      int shift = 0;
-      std::uint8_t b;
-      do {
-        b = bytes[p++];
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        shift += 7;
-      } while ((b & 0x80) != 0);
-    };
-    read_varint(record_count);
-    read_varint(payload_size);
     BlockSpan span;
     span.offset = pos;
-    span.size = t.next - pos;
-    span.payload_offset = p;
-    span.payload_size = payload_size;
-    span.record_count = record_count;
+    span.size = block.end - pos;
+    span.payload_offset =
+        static_cast<std::uint64_t>(block.payload.data() - bytes.data());
+    span.payload_size = block.payload.size();
+    span.record_count = count;
     span.first_record = record_index;
     layout.push_back(span);
-    record_index += record_count;
-    pos = t.next;
+    record_index += count;
+    pos = block.end;
   }
 }
 

@@ -1,16 +1,20 @@
 // Binary serialization of sampled NetFlow traces.
 //
-// Format (little-endian, varint-packed):
-//   file   := header block* end-block
-//   header := magic 'DMNF' (u32) | version (u16) | sampling denominator (u32)
-//   block  := record-count varint (>0) | payload-size varint | payload | crc32
-//   end    := record-count varint == 0
+// Format (little-endian, varint-packed; header and body are the frame
+// envelope of netflow/frame.h):
+//   file     := header sampling block* end
+//   header   := magic 'DMNF' (u32) | version (u16)
+//   sampling := sampling denominator (u32, nonzero)
+//   block    := record-count varint (1..4096) | body
+//   body     := payload-size varint | payload | crc32
+//   end      := record-count varint == 0
 // Payload packs each record's fields as varints, with the minute
-// delta-encoded against the block's first record. A CRC32 of the payload
-// guards against truncation/corruption; strict readers throw
-// dm::FormatError naming the byte offset, block index, and expected vs
-// actual CRC. Salvage readers instead resynchronize on the next decodable
-// block boundary and tally the damage in an IngestReport.
+// delta-encoded against the block's first record, so a block's count bounds
+// its payload size; every reader rejects a header outside those bounds
+// before it allocates. Strict readers throw FrameError naming the block
+// index, its byte offset, and for CRC damage the expected and actual CRC.
+// Salvage readers instead resynchronize on the next decodable block
+// boundary and tally the damage in an IngestReport.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +23,15 @@
 #include <string>
 #include <vector>
 
-#include "netflow/columnar_records.h"
 #include "netflow/flow_record.h"
-#include "netflow/segment_store.h"
+#include "netflow/frame.h"
 
 namespace dm::netflow {
 
 inline constexpr std::uint32_t kTraceMagic = 0x464e4d44;  // "DMNF"
 inline constexpr std::uint16_t kTraceVersion = 1;
+/// Frame header plus the u32 sampling denominator.
+inline constexpr std::size_t kTraceHeaderBytes = kFrameHeaderBytes + 4;
 
 /// Streams FlowRecords into an ostream in the block format above.
 class TraceWriter {
@@ -44,17 +49,6 @@ class TraceWriter {
 
   void write(const FlowRecord& record);
   void write_all(std::span<const FlowRecord> records);
-  /// Streams a decoded view of the columnar store — the WindowedTrace
-  /// export path; never materializes the records as an array.
-  void write_all(ColumnarRecords::Range records);
-  /// Same, over a possibly spilled RecordStore (one segment mapped at a
-  /// time, so exporting a multi-month trace stays at flat RSS).
-  void write_all(RecordStore::Range records);
-  /// Whole-store exports decode through the SoA block pipeline (a
-  /// BlockCursor per store) instead of one record at a time; the Range
-  /// overloads above remain for partial ranges.
-  void write_all(const ColumnarRecords& records);
-  void write_all(const RecordStore& store);
 
   /// Flushes pending records and writes the end marker. Idempotent.
   void finish();
@@ -66,6 +60,7 @@ class TraceWriter {
 
   std::ostream& out_;
   std::vector<FlowRecord> pending_;
+  std::vector<std::uint8_t> frame_;  ///< a block's count varint and body
   std::uint64_t count_ = 0;
   bool finished_ = false;
 };
@@ -107,10 +102,10 @@ struct IngestReport {
 };
 
 /// Reads a trace produced by TraceWriter. In strict mode validates magic,
-/// version and per-block CRCs, throwing dm::FormatError (with byte offset,
-/// block index, and expected-vs-actual CRC) on any mismatch. In salvage
-/// mode the whole stream is decoded up front, skipping damaged regions;
-/// report() describes the recovery.
+/// version, block bounds and per-block CRCs, throwing FrameError (with
+/// block index, byte offset, and expected-vs-actual CRC) on any damage. In
+/// salvage mode the whole stream is decoded up front, skipping damaged
+/// regions; report() describes the recovery.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& in, ReadMode mode = ReadMode::kStrict);
@@ -136,6 +131,7 @@ class TraceReader {
   std::istream& in_;
   ReadMode mode_ = ReadMode::kStrict;
   std::uint32_t sampling_ = 0;
+  std::vector<std::uint8_t> payload_;  ///< current block's bytes (strict mode)
   std::vector<FlowRecord> block_;
   std::size_t cursor_ = 0;
   bool eof_ = false;
@@ -146,10 +142,6 @@ class TraceReader {
 
 /// Convenience round-trips through files on disk.
 void write_trace_file(const std::string& path, std::span<const FlowRecord> records,
-                      std::uint32_t sampling_denominator);
-void write_trace_file(const std::string& path, ColumnarRecords::Range records,
-                      std::uint32_t sampling_denominator);
-void write_trace_file(const std::string& path, RecordStore::Range records,
                       std::uint32_t sampling_denominator);
 [[nodiscard]] std::vector<FlowRecord> read_trace_file(const std::string& path,
                                                       std::uint32_t* sampling = nullptr);
@@ -176,12 +168,9 @@ struct BlockSpan {
 };
 
 /// Walks a WELL-FORMED serialized trace (header through end marker) and
-/// returns the byte extents of every block. Throws dm::FormatError on any
+/// returns the byte extents of every block. Throws FrameError on any
 /// damage — use TraceReader in salvage mode for damaged input.
 [[nodiscard]] std::vector<BlockSpan> trace_layout(
     std::span<const std::uint8_t> bytes);
-
-/// CRC32 (IEEE 802.3 polynomial) over a byte span; exposed for tests.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace dm::netflow

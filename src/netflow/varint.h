@@ -1,11 +1,12 @@
-// LEB128 varints and zigzag mappings shared by the on-disk trace format
-// (trace_io) and the in-memory columnar record store (columnar_records).
+// LEB128 varints and zigzag mappings shared by the framed on-disk formats
+// (netflow/frame.h) and the in-memory columnar record store
+// (columnar_records).
 //
 // Encoding is append-only into a byte vector. Two decoders exist by design:
 // the unchecked pointer-advancing get_varint below for self-produced,
 // trusted buffers (the columnar store decodes only bytes it encoded), and
-// the bounds-checked CheckedCursor for untrusted bytes (trace files,
-// StreamMonitor checkpoints).
+// the bounds-checked try_get_varint for untrusted bytes (trace blocks,
+// checkpoints, books), which CheckedCursor wraps.
 #pragma once
 
 #include <bit>
@@ -57,10 +58,31 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   return v;
 }
 
-/// Bounds-checked decoder over untrusted bytes. Every primitive throws
-/// dm::FormatError (prefixed with `context`) instead of reading past the
-/// span — the decode side of the varint/CRC framing shared by trace files
-/// and StreamMonitor checkpoints.
+/// Longest LEB128 encoding of a u64: ten 7-bit groups.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Bounds-checked decode of the varint at `bytes[pos]`, advancing `pos`.
+/// Returns false when the varint runs off the span or past ten bytes; `pos`
+/// then stops at the span's end or after the tenth byte.
+[[nodiscard]] inline bool try_get_varint(std::span<const std::uint8_t> bytes,
+                                         std::size_t& pos,
+                                         std::uint64_t& value) noexcept {
+  std::uint64_t v = 0;
+  for (std::size_t shift = 0; shift < 7 * kMaxVarintBytes; shift += 7) {
+    if (pos >= bytes.size()) return false;
+    const std::uint8_t b = bytes[pos++];
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      value = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Bounds-checked decoder over the payload of a verified frame. Every
+/// primitive throws dm::FormatError (prefixed with `context`) instead of
+/// reading past the span.
 class CheckedCursor {
  public:
   explicit CheckedCursor(std::span<const std::uint8_t> bytes,
@@ -69,16 +91,10 @@ class CheckedCursor {
 
   std::uint64_t varint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (pos_ >= bytes_.size() || shift > 63) {
-        throw FormatError(std::string(context_) + ": truncated varint");
-      }
-      const std::uint8_t b = bytes_[pos_++];
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
+    if (!try_get_varint(bytes_, pos_, v)) {
+      throw FormatError(std::string(context_) + ": truncated varint");
     }
+    return v;
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ >= bytes_.size(); }
@@ -89,9 +105,6 @@ class CheckedCursor {
   const char* context_;
   std::size_t pos_ = 0;
 };
-
-/// Longest LEB128 encoding of a u64: ten 7-bit groups.
-inline constexpr std::size_t kMaxVarintBytes = 10;
 
 /// Slack a SWAR record decode needs past its start byte: seven fields at
 /// worst-case width plus the 8-byte word read of the last field. Callers

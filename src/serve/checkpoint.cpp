@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "netflow/trace_io.h"
+#include "netflow/frame.h"
 #include "util/error.h"
 
 namespace dm::serve {

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "exec/parallel.h"
-#include "netflow/trace_io.h"
+#include "netflow/frame.h"
 #include "netflow/varint.h"
 #include "sim/attack_type.h"
 #include "util/table.h"
@@ -14,12 +14,11 @@ namespace dm::serve {
 
 namespace {
 
-// Supervisor book framing: same magic+version+varint+CRC shape as the DMCK
-// monitor checkpoint, under its own magic so a book is never mistaken for a
-// monitor state (or vice versa) inside a generation directory.
+// A supervisor book is one frame (netflow/frame.h), like a DMCK monitor
+// checkpoint, under its own magic so a book is never mistaken for a monitor
+// state (or vice versa) inside a generation directory.
 constexpr std::uint32_t kBookMagic = 0x56534d44;  // "DMSV" little-endian
 constexpr std::uint16_t kBookVersion = 1;
-constexpr std::uint64_t kMaxBookPayload = 1ull << 30;
 
 constexpr const char* kBookFile = "supervisor.dmsv";
 
@@ -319,17 +318,8 @@ std::vector<std::uint8_t> Supervisor::encode_books() const {
 
   std::vector<std::uint8_t> out;
   out.reserve(payload.size() + 16);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(kBookMagic >> (8 * i)));
-  }
-  out.push_back(static_cast<std::uint8_t>(kBookVersion & 0xff));
-  out.push_back(static_cast<std::uint8_t>(kBookVersion >> 8));
-  put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = netflow::crc32({payload.data(), payload.size()});
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
+  netflow::put_frame_header(out, kBookMagic, kBookVersion);
+  netflow::put_frame_body(out, payload);
   return out;
 }
 
@@ -337,40 +327,25 @@ void Supervisor::decode_books(const std::vector<std::uint8_t>& bytes,
                               std::vector<TenantBook>& tenants_out,
                               std::uint64_t& routed_out,
                               std::int64_t& rotation_mark_out) const {
-  if (bytes.size() < 6) throw FormatError("book: truncated header");
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) {
-    magic |= static_cast<std::uint32_t>(bytes[static_cast<std::size_t>(i)])
-             << (8 * i);
+  using netflow::FrameError;
+  const auto damaged = [](FrameError::Kind kind) {
+    return FrameError(kind, std::string("book: ") + netflow::describe(kind));
+  };
+  if (const auto bad =
+          netflow::check_frame_header(bytes, kBookMagic, kBookVersion)) {
+    throw damaged(*bad);
   }
-  if (magic != kBookMagic) throw FormatError("book: bad magic");
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(bytes[4] | (bytes[5] << 8));
-  if (version != kBookVersion) throw FormatError("book: unsupported version");
+  const netflow::SpanBody body =
+      netflow::read_frame_body(bytes, netflow::kFrameHeaderBytes, {});
+  if (body.error) throw damaged(*body.error);
 
-  netflow::CheckedCursor head({bytes.data() + 6, bytes.size() - 6}, "book");
-  const std::uint64_t payload_size = head.varint();
-  if (payload_size > kMaxBookPayload) {
-    throw FormatError("book: implausible payload size");
-  }
-  const std::size_t payload_off = 6 + head.position();
-  if (payload_off + payload_size + 4 > bytes.size()) {
-    throw FormatError("book: truncated payload");
-  }
-  const std::uint8_t* payload = bytes.data() + payload_off;
-  std::uint32_t expected = 0;
-  for (int i = 0; i < 4; ++i) {
-    expected |= static_cast<std::uint32_t>(
-                    payload[payload_size + static_cast<std::uint64_t>(i)])
-                << (8 * i);
-  }
-  const std::uint32_t actual = netflow::crc32({payload, payload_size});
-  if (expected != actual) throw FormatError("book: crc mismatch");
-
-  netflow::CheckedCursor cur({payload, payload_size}, "book");
+  netflow::CheckedCursor cur(body.payload, "book");
   const auto get_u64 = [&cur] { return cur.varint(); };
   const auto get_i64 = [&cur] { return netflow::unzigzag64(cur.varint()); };
 
+  // A CRC-valid book that does not decode, or that another tenant
+  // configuration wrote, is a FrameError of kind kMalformedPayload.
+  try {
   routed_out = get_u64();
   rotation_mark_out = get_i64();
   const std::uint64_t tenant_count = get_u64();
@@ -432,7 +407,12 @@ void Supervisor::decode_books(const std::vector<std::uint8_t>& bytes,
     }
     // dmlint: covers-end(b)
   }
-  if (!cur.exhausted()) throw FormatError("book: trailing bytes");
+  } catch (const FormatError& e) {
+    throw FrameError(FrameError::Kind::kMalformedPayload, e.what());
+  }
+  if (!cur.exhausted()) {
+    throw FrameError(FrameError::Kind::kTrailingBytes, "book: trailing bytes");
+  }
 }
 
 std::vector<ShardFile> Supervisor::snapshot_files() const {

@@ -113,14 +113,6 @@ struct ScenarioConfig {
   /// 1 = serial. Output is byte-identical for every value — shards are
   /// seeded by entity index (Rng::split) and merged in shard order.
   unsigned thread_count = 0;
-  /// Fuse trace generation and window aggregation into one sharded
-  /// streaming pass (sim::generate_windows): each shard generates its VIP
-  /// address range's traffic, radix-sorts it locally over a packed 128-bit
-  /// key, and builds its windows in place, so the global unsorted record
-  /// vector is never materialized. Output is byte-identical to the unfused
-  /// path — purely a memory/speed knob; ingestion paths (CSV/trace_io) are
-  /// unaffected.
-  bool fuse_pipeline = true;
   /// Out-of-core knob: when spill.directory is set, completed shard slices
   /// are sealed into CRC-framed segment files under it once the pending
   /// resident store crosses the policy threshold, and the Study's record

@@ -11,6 +11,7 @@
 
 #include "detect/stream.h"
 #include "fault/fault.h"
+#include "netflow/frame.h"
 #include "sim/trace_generator.h"
 #include "util/error.h"
 
@@ -291,9 +292,9 @@ TEST(StreamCheckpoint, VersionOneFrameIsRejected) {
   try {
     target.restore(in);
     FAIL() << "restore accepted a version-1 checkpoint";
-  } catch (const CheckpointError& e) {
+  } catch (const netflow::FrameError& e) {
     EXPECT_EQ(static_cast<int>(e.kind()),
-              static_cast<int>(CheckpointError::Kind::kBadVersion))
+              static_cast<int>(netflow::FrameError::Kind::kBadVersion))
         << e.what();
   }
   EXPECT_EQ(checkpoint_bytes(target), before);

@@ -1,5 +1,5 @@
 // Malformed-checkpoint regression: StreamMonitor::restore must classify
-// every damage shape with a structured CheckpointError kind and must leave
+// every damage shape with a structured FrameError kind and must leave
 // the target monitor byte-identical to its pre-call state on EVERY failure
 // path — including the empty and truncated streams that once slipped past
 // validation straight into the payload decoder.
@@ -12,12 +12,13 @@
 
 #include "detect/stream.h"
 #include "netflow/flow_record.h"
-#include "netflow/trace_io.h"
+#include "netflow/frame.h"
 
 namespace dm::detect {
 namespace {
 
 using netflow::FlowRecord;
+using netflow::FrameError;
 
 netflow::PrefixSet sim_cloud_space() {
   netflow::PrefixSet set;
@@ -36,46 +37,30 @@ std::string checkpoint_bytes(const StreamMonitor& monitor) {
   return out.str();
 }
 
-/// Splits a valid DMCK frame into (header+size prefix, payload) so tests can
-/// rebuild frames around a tampered payload with a self-consistent CRC.
+/// The payload of a valid DMCK frame, so tests can rebuild frames around a
+/// tampered payload with a self-consistent CRC.
 std::vector<std::uint8_t> frame_payload(const std::string& frame) {
-  std::size_t pos = 6;  // magic + version
-  std::uint64_t size = 0;
-  int shift = 0;
-  for (;;) {
-    const auto b = static_cast<std::uint8_t>(frame[pos++]);
-    size |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  return {frame.begin() + static_cast<std::ptrdiff_t>(pos),
-          frame.begin() + static_cast<std::ptrdiff_t>(pos + size)};
+  const std::vector<std::uint8_t> bytes(frame.begin(), frame.end());
+  const netflow::SpanBody body =
+      netflow::read_frame_body(bytes, netflow::kFrameHeaderBytes, {});
+  EXPECT_FALSE(body.error.has_value());
+  return {body.payload.begin(), body.payload.end()};
 }
 
 /// Reframes `payload` behind `frame`'s magic and version with a correct
 /// size varint and CRC — the "CRC-clean but semantically wrong"
 /// construction kit.
 std::string reframe(const std::string& frame,
-                    std::vector<std::uint8_t> payload) {
-  std::string out = frame.substr(0, 6);  // magic + version
-  std::uint64_t size = payload.size();
-  for (;;) {
-    const auto b = static_cast<std::uint8_t>(size & 0x7f);
-    size >>= 7;
-    out.push_back(static_cast<char>(size != 0 ? b | 0x80 : b));
-    if (size == 0) break;
-  }
-  out.append(payload.begin(), payload.end());
-  const std::uint32_t crc = netflow::crc32({payload.data(), payload.size()});
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
-  }
-  return out;
+                    const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out(frame.begin(),
+                                frame.begin() + netflow::kFrameHeaderBytes);
+  netflow::put_frame_body(out, payload);
+  return {out.begin(), out.end()};
 }
 
-/// Asserts restore(`bytes`) throws CheckpointError with `kind` and that the
+/// Asserts restore(`bytes`) throws FrameError with `kind` and that the
 /// monitor's observable state (checkpoint bytes + counters) is untouched.
-void expect_rejected(const std::string& bytes, CheckpointError::Kind kind,
+void expect_rejected(const std::string& bytes, FrameError::Kind kind,
                      const char* label) {
   SCOPED_TRACE(label);
   StreamMonitor target = make_monitor();
@@ -92,7 +77,7 @@ void expect_rejected(const std::string& bytes, CheckpointError::Kind kind,
   try {
     target.restore(in);
     FAIL() << "restore accepted a malformed checkpoint";
-  } catch (const CheckpointError& e) {
+  } catch (const FrameError& e) {
     EXPECT_EQ(static_cast<int>(e.kind()), static_cast<int>(kind))
         << "wrong kind: " << e.what();
   }
@@ -122,14 +107,14 @@ class StreamRestoreError : public ::testing::Test {
 };
 
 TEST_F(StreamRestoreError, EmptyStream) {
-  expect_rejected("", CheckpointError::Kind::kTruncated, "empty");
+  expect_rejected("", FrameError::Kind::kTruncated, "empty");
 }
 
 TEST_F(StreamRestoreError, TruncatedEverywhere) {
   // Cut inside the header, the size varint, the payload, and the CRC.
   for (const std::size_t cut : {std::size_t{3}, std::size_t{6},
                                 valid_.size() / 2, valid_.size() - 2}) {
-    expect_rejected(valid_.substr(0, cut), CheckpointError::Kind::kTruncated,
+    expect_rejected(valid_.substr(0, cut), FrameError::Kind::kTruncated,
                     ("cut at " + std::to_string(cut)).c_str());
   }
 }
@@ -137,13 +122,13 @@ TEST_F(StreamRestoreError, TruncatedEverywhere) {
 TEST_F(StreamRestoreError, BadMagic) {
   std::string mangled = valid_;
   mangled[1] = 'X';
-  expect_rejected(mangled, CheckpointError::Kind::kBadMagic, "magic");
+  expect_rejected(mangled, FrameError::Kind::kBadMagic, "magic");
 }
 
 TEST_F(StreamRestoreError, BadVersion) {
   std::string mangled = valid_;
   mangled[4] = 9;
-  expect_rejected(mangled, CheckpointError::Kind::kBadVersion, "version");
+  expect_rejected(mangled, FrameError::Kind::kBadVersion, "version");
 }
 
 TEST_F(StreamRestoreError, OversizedPayloadClaim) {
@@ -152,13 +137,13 @@ TEST_F(StreamRestoreError, OversizedPayloadClaim) {
   std::string huge(valid_.substr(0, 6));
   for (int i = 0; i < 5; ++i) huge.push_back(static_cast<char>(0x80));
   huge.push_back(static_cast<char>(0x10));
-  expect_rejected(huge, CheckpointError::Kind::kOversized, "oversized");
+  expect_rejected(huge, FrameError::Kind::kOversized, "oversized");
 }
 
 TEST_F(StreamRestoreError, PayloadBitFlip) {
   std::string mangled = valid_;
   mangled[valid_.size() / 2] ^= 0x04;
-  expect_rejected(mangled, CheckpointError::Kind::kCrcMismatch, "bit flip");
+  expect_rejected(mangled, FrameError::Kind::kCrcMismatch, "bit flip");
 }
 
 TEST_F(StreamRestoreError, CrcValidButUndecodable) {
@@ -167,22 +152,22 @@ TEST_F(StreamRestoreError, CrcValidButUndecodable) {
   auto payload = frame_payload(valid_);
   ASSERT_FALSE(payload.empty());
   payload.pop_back();
-  expect_rejected(reframe(valid_, std::move(payload)),
-                  CheckpointError::Kind::kMalformedPayload, "undecodable");
+  expect_rejected(reframe(valid_, payload),
+                  FrameError::Kind::kMalformedPayload, "undecodable");
 }
 
 TEST_F(StreamRestoreError, TrailingPayloadBytes) {
   auto payload = frame_payload(valid_);
   payload.push_back(0);
-  expect_rejected(reframe(valid_, std::move(payload)),
-                  CheckpointError::Kind::kTrailingBytes, "trailing");
+  expect_rejected(reframe(valid_, payload),
+                  FrameError::Kind::kTrailingBytes, "trailing");
 }
 
 TEST_F(StreamRestoreError, PristineBytesStillRestoreAfterFailures) {
   StreamMonitor target = make_monitor();
   for (const std::size_t cut : {std::size_t{0}, std::size_t{5}}) {
     std::istringstream in(valid_.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(target.restore(in), CheckpointError);
+    EXPECT_THROW(target.restore(in), FrameError);
   }
   std::istringstream in(valid_, std::ios::binary);
   target.restore(in);

@@ -130,52 +130,5 @@ TEST(RadixSort, Key128MatchesStableSortWithPayload) {
   }
 }
 
-// radix_sort_wide must produce exactly the permutation radix_sort does —
-// stability plus a total key order make that permutation unique, so the
-// 16-bit digit width is observationally invisible. Exercised across the
-// small-input fallback boundary (n < 2^15 falls through to radix_sort) and
-// with constant high/low digits to hit the pass-skip paths.
-TEST(RadixSortWide, MatchesNarrowSortAcrossFallbackBoundary) {
-  for (std::size_t n : {2u, 100u, 32767u, 32768u, 40000u}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    util::Rng rng(n);
-    struct U32Item {
-      std::uint32_t key = 0;
-      std::uint32_t tag = 0;
-    };
-    std::vector<U32Item> items(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      items[i].key = static_cast<std::uint32_t>(rng());
-      items[i].tag = static_cast<std::uint32_t>(i);
-    }
-    auto expected = items;
-    radix_sort(expected, [](const U32Item& it) { return it.key; });
-    radix_sort_wide(items, [](const U32Item& it) { return it.key; });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(items[i].key, expected[i].key) << "index " << i;
-      ASSERT_EQ(items[i].tag, expected[i].tag) << "index " << i;
-    }
-  }
-}
-
-TEST(RadixSortWide, SkipsConstantDigits) {
-  util::Rng rng(99);
-  std::vector<std::uint32_t> order(40000);
-  // Low digit constant (keys share bits 0..15), then high digit constant.
-  for (const bool low_constant : {true, false}) {
-    SCOPED_TRACE(low_constant ? "low constant" : "high constant");
-    std::vector<std::uint32_t> keys(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<std::uint32_t>(i);
-      const auto digit = static_cast<std::uint32_t>(rng() & 0xffff);
-      keys[i] = low_constant ? (digit << 16) | 0x1234u : 0x5678u << 16 | digit;
-    }
-    auto expected = order;
-    radix_sort(expected, [&](std::uint32_t i) { return keys[i]; });
-    radix_sort_wide(order, [&](std::uint32_t i) { return keys[i]; });
-    EXPECT_EQ(order, expected);
-  }
-}
-
 }  // namespace
 }  // namespace dm::exec

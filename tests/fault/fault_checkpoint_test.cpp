@@ -8,11 +8,12 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "netflow/frame.h"
 
 namespace dm::fault {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 6;  // DMCK magic + version
+constexpr std::size_t kHeaderBytes = netflow::kFrameHeaderBytes;
 
 std::vector<std::uint8_t> sample_file(std::size_t size) {
   std::vector<std::uint8_t> bytes(size);

@@ -3,9 +3,9 @@
 // independent array-of-structs reference produces — decoded records and
 // directions against an in-test AoS pipeline (classify + stable canonical
 // sort over the serial generator output), and windows, detections, and the
-// four record-consuming exhibits across 1/2/8 threads and both pipeline
-// shapes (fused and unfused). Exhibit serialization and study comparison
-// live in study_exhibits.h, shared with the spill-equivalence suite.
+// four record-consuming exhibits across 1/2/8 threads. Exhibit
+// serialization and study comparison live in study_exhibits.h, shared with
+// the spill-equivalence suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,7 +91,6 @@ void expect_matches_reference(const AosReference& ref,
 TEST(ColumnarEquivalence, StudyMatchesAosReferenceAndIsThreadInvariant) {
   auto serial_config = base_config();
   serial_config.thread_count = 1;
-  serial_config.fuse_pipeline = true;
   const core::Study serial(serial_config);
 
   // The scenario must actually exercise the machinery under test.
@@ -110,20 +109,10 @@ TEST(ColumnarEquivalence, StudyMatchesAosReferenceAndIsThreadInvariant) {
     SCOPED_TRACE("thread_count=" + std::to_string(threads));
     auto config = base_config();
     config.thread_count = threads;
-    config.fuse_pipeline = true;
     const core::Study parallel(config);
     expect_matches_reference(reference, parallel.trace());
     expect_same_study(serial, serial_exhibits, parallel);
   }
-
-  // The unfused pipeline shape lands on the same store contents too.
-  SCOPED_TRACE("unfused");
-  auto unfused_config = base_config();
-  unfused_config.thread_count = 2;
-  unfused_config.fuse_pipeline = false;
-  const core::Study unfused(unfused_config);
-  expect_matches_reference(reference, unfused.trace());
-  expect_same_study(serial, serial_exhibits, unfused);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // The fused streaming path (sim::generate_windows) must produce a
-// WindowedTrace BYTE-IDENTICAL to the unfused generate_trace →
-// aggregate_windows pipeline — records, directions, windows, and the
-// unclassified count — at every thread count, and Study must honor the
-// fuse_pipeline knob transparently.
+// WindowedTrace BYTE-IDENTICAL to the ingest path a stored trace takes —
+// generate_trace, written to .dmnf, read back, then aggregate_windows —
+// records, directions, windows, and the unclassified count, at every
+// thread count.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <sstream>
 
-#include "core/study.h"
+#include "integration/study_exhibits.h"
+#include "netflow/trace_io.h"
 #include "netflow/window_aggregator.h"
 #include "sim/trace_generator.h"
 
@@ -20,58 +21,26 @@ sim::ScenarioConfig base_config() {
   return config;
 }
 
-auto window_tuple(const netflow::VipMinuteStats& w) {
-  return std::make_tuple(
-      w.vip.value(), w.minute, w.direction, w.packets, w.bytes, w.tcp_packets,
-      w.udp_packets, w.icmp_packets, w.ipencap_packets, w.syn_packets,
-      w.null_scan_packets, w.xmas_scan_packets, w.bare_rst_packets,
-      w.dns_response_packets, w.flows, w.unique_remote_ips, w.smtp_flows,
-      w.unique_smtp_remotes, w.remote_admin_flows, w.unique_admin_remotes,
-      w.sql_flows, w.smtp_packets, w.admin_packets, w.sql_packets,
-      w.blacklist_flows, w.unique_blacklist_remotes, w.blacklist_packets,
-      w.first_record, w.last_record);
-}
-
-void expect_identical(const netflow::WindowedTrace& unfused,
-                      const netflow::WindowedTrace& fused) {
-  const auto base_records = unfused.records();
-  const auto fused_records = fused.records();
-  ASSERT_EQ(base_records.size(), fused_records.size());
-  auto fused_it = fused_records.begin();
-  for (auto it = base_records.begin(); it != base_records.end();
-       ++it, ++fused_it) {
-    ASSERT_EQ(*it, *fused_it) << "record " << it.index();
-    ASSERT_EQ(it.direction(), fused_it.direction())
-        << "direction " << it.index();
-  }
-  EXPECT_EQ(unfused.unclassified_records(), fused.unclassified_records());
-
-  const auto base_windows = unfused.windows();
-  const auto fused_windows = fused.windows();
-  ASSERT_EQ(base_windows.size(), fused_windows.size());
-  for (std::size_t i = 0; i < base_windows.size(); ++i) {
-    ASSERT_EQ(window_tuple(base_windows[i]), window_tuple(fused_windows[i]))
-        << "window " << i;
-  }
-
-  const auto base_vips = unfused.vips();
-  const auto fused_vips = fused.vips();
-  ASSERT_EQ(base_vips.size(), fused_vips.size());
-  for (std::size_t i = 0; i < base_vips.size(); ++i) {
-    EXPECT_EQ(base_vips[i], fused_vips[i]) << "vip " << i;
-  }
-}
-
 TEST(FusedPipeline, MatchesUnfusedAtEveryThreadCount) {
   const sim::Scenario scenario(base_config());
 
-  // Unfused reference, serial.
+  // Ingest-path reference, serial: generate, round-trip through the .dmnf
+  // codec, aggregate.
   exec::ThreadPool serial_pool(exec::workers_for(1));
-  sim::TraceResult unfused = sim::generate_trace(scenario, &serial_pool);
-  const std::uint64_t generated = unfused.records.size();
-  ASSERT_GT(generated, 0u);
+  const sim::TraceResult generated = sim::generate_trace(scenario, &serial_pool);
+  ASSERT_GT(generated.records.size(), 0u);
+  std::stringstream dmnf;
+  {
+    netflow::TraceWriter writer(dmnf, scenario.config().sampling);
+    writer.write_all(generated.records);
+    writer.finish();
+  }
+  netflow::TraceReader reader(dmnf);
+  ASSERT_EQ(reader.sampling_denominator(), scenario.config().sampling);
+  std::vector<netflow::FlowRecord> decoded = reader.read_all();
+  ASSERT_EQ(decoded, generated.records);
   const netflow::WindowedTrace reference = netflow::aggregate_windows(
-      std::move(unfused.records), scenario.vips().cloud_space(),
+      std::move(decoded), scenario.vips().cloud_space(),
       &scenario.tds().as_prefix_set(), &serial_pool);
   ASSERT_FALSE(reference.windows().empty());
 
@@ -79,30 +48,10 @@ TEST(FusedPipeline, MatchesUnfusedAtEveryThreadCount) {
     SCOPED_TRACE("thread_count=" + std::to_string(threads));
     exec::ThreadPool pool(exec::workers_for(threads));
     const sim::FusedTrace fused = sim::generate_windows(scenario, &pool);
-    EXPECT_EQ(fused.generated_records, generated);
+    EXPECT_EQ(fused.generated_records, generated.records.size());
     EXPECT_FALSE(fused.truth.episodes.empty());
-    expect_identical(reference, fused.windowed);
+    test_support::expect_same_trace(reference, fused.windowed);
   }
-}
-
-TEST(FusedPipeline, StudyKnobIsTransparent) {
-  auto fused_config = base_config();
-  fused_config.fuse_pipeline = true;
-  fused_config.thread_count = 2;
-  const core::Study fused(fused_config);
-
-  auto unfused_config = base_config();
-  unfused_config.fuse_pipeline = false;
-  unfused_config.thread_count = 2;
-  const core::Study unfused(unfused_config);
-
-  EXPECT_EQ(fused.record_count(), unfused.record_count());
-  expect_identical(unfused.trace(), fused.trace());
-
-  ASSERT_EQ(fused.detection().incidents.size(),
-            unfused.detection().incidents.size());
-  ASSERT_EQ(fused.detection().minutes.size(),
-            unfused.detection().minutes.size());
 }
 
 }  // namespace

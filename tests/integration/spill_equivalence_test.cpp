@@ -102,23 +102,38 @@ TEST(SpillEquivalence, StudyIsByteIdenticalAcrossBudgetsAndThreads) {
 }
 
 TEST(SpillEquivalence, UnfusedPipelineSpillsIdenticallyToo) {
-  auto resident_config = base_config();
-  resident_config.thread_count = 2;
-  resident_config.fuse_pipeline = false;
-  const core::Study resident(resident_config);
-  const Exhibits resident_exhibits = exhibits_of(resident);
+  // The ingest path — aggregate_windows over decoded records, which
+  // `dmnf detect --spill-dir` runs — must spill byte-identically too.
+  const sim::Scenario scenario(base_config());
+  exec::ThreadPool pool(exec::workers_for(2));
+  const std::vector<netflow::FlowRecord> records =
+      sim::generate_trace(scenario, &pool).records;
+  const netflow::PrefixSet& cloud = scenario.vips().cloud_space();
+  const netflow::PrefixSet* blacklist = &scenario.tds().as_prefix_set();
+  const netflow::WindowedTrace resident =
+      netflow::aggregate_windows(records, cloud, blacklist, &pool);
+  ASSERT_FALSE(resident.store().spilled());
 
   const fs::path dir = scratch_dir("unfused");
-  auto config = base_config();
-  config.thread_count = 2;
-  config.fuse_pipeline = false;
-  config.spill.directory = dir.string();
-  config.spill.segment_bytes = 1ull << 20;
-  config.spill.ram_budget_bytes = 2ull << 20;
-  const core::Study spilled(config);
-  EXPECT_TRUE(spilled.trace().store().spilled());
+  netflow::SpillConfig spill;
+  spill.directory = dir.string();
+  spill.segment_bytes = 1ull << 20;
+  spill.ram_budget_bytes = 2ull << 20;
+  const netflow::WindowedTrace spilled =
+      netflow::aggregate_windows(records, cloud, blacklist, &pool, &spill);
+  EXPECT_TRUE(spilled.store().spilled());
+  test_support::expect_same_trace(resident, spilled);
 
-  expect_same_study(resident, resident_exhibits, spilled);
+  const detect::DetectionPipeline pipeline;
+  const auto resident_incidents = pipeline.run(resident, &pool).incidents;
+  const auto spilled_incidents = pipeline.run(spilled, &pool).incidents;
+  ASSERT_FALSE(resident_incidents.empty());
+  ASSERT_EQ(resident_incidents.size(), spilled_incidents.size());
+  for (std::size_t i = 0; i < resident_incidents.size(); ++i) {
+    ASSERT_EQ(test_support::incident_tuple(resident_incidents[i]),
+              test_support::incident_tuple(spilled_incidents[i]))
+        << "incident " << i;
+  }
   fs::remove_all(dir);
 }
 

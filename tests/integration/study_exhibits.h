@@ -122,6 +122,38 @@ inline auto incident_tuple(const detect::AttackIncident& a) {
                          a.ramp_up_minutes);
 }
 
+/// Two windowed traces are the same when their records, directions,
+/// windows, VIPs and unclassified counts all match.
+inline void expect_same_trace(const netflow::WindowedTrace& base,
+                              const netflow::WindowedTrace& other) {
+  const auto base_records = base.records();
+  const auto other_records = other.records();
+  ASSERT_EQ(base_records.size(), other_records.size());
+  auto other_it = other_records.begin();
+  for (auto it = base_records.begin(); it != base_records.end();
+       ++it, ++other_it) {
+    ASSERT_EQ(*it, *other_it) << "record " << it.index();
+    ASSERT_EQ(it.direction(), other_it.direction())
+        << "direction " << it.index();
+  }
+  EXPECT_EQ(base.unclassified_records(), other.unclassified_records());
+
+  const auto base_windows = base.windows();
+  const auto other_windows = other.windows();
+  ASSERT_EQ(base_windows.size(), other_windows.size());
+  for (std::size_t i = 0; i < base_windows.size(); ++i) {
+    ASSERT_EQ(window_tuple(base_windows[i]), window_tuple(other_windows[i]))
+        << "window " << i;
+  }
+
+  const auto base_vips = base.vips();
+  const auto other_vips = other.vips();
+  ASSERT_EQ(base_vips.size(), other_vips.size());
+  for (std::size_t i = 0; i < base_vips.size(); ++i) {
+    EXPECT_EQ(base_vips[i], other_vips[i]) << "vip " << i;
+  }
+}
+
 inline void expect_same_study(const core::Study& base,
                               const Exhibits& base_exhibits,
                               const core::Study& other) {

@@ -4,9 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <span>
 #include <sstream>
 
+#include "netflow/varint.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -141,39 +141,71 @@ TEST(TraceIo, MissingFileThrows) {
   EXPECT_THROW(read_trace_file("/nonexistent/dir/trace.dmnf"), dm::FormatError);
 }
 
-TEST(Crc32, KnownVector) {
-  // CRC32("123456789") = 0xCBF43926 (IEEE).
-  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(data), 0xCBF43926u);
+/// A trace's bytes, as written by TraceWriter.
+std::vector<std::uint8_t> trace_bytes(const std::vector<FlowRecord>& records) {
+  std::stringstream buffer;
+  {
+    TraceWriter writer(buffer, 4096);
+    writer.write_all(records);
+    writer.finish();
+  }
+  const std::string s = buffer.str();
+  return {s.begin(), s.end()};
 }
 
-TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
-
-/// The bytewise table-driven CRC-32 (reflected IEEE polynomial): the
-/// reference crc32's slicing must reproduce.
-std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t table[256];
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+/// Reads `bytes` strictly and returns the FrameError kind it throws.
+FrameError::Kind strict_read_error(const std::vector<std::uint8_t>& bytes) {
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  try {
+    TraceReader reader(in);
+    (void)reader.read_all();
+  } catch (const FrameError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("trace: ", 0), 0u) << e.what();
+    return e.kind();
   }
-  std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t b : bytes) crc = table[(crc ^ b) & 0xff] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
+  ADD_FAILURE() << "damaged trace read strictly must throw";
+  return FrameError::Kind::kMalformedPayload;
 }
 
-TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment) {
-  util::Rng rng(31);
-  std::vector<std::uint8_t> buffer(300 + 8);
-  for (std::size_t length = 0; length <= 300; ++length) {
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.below(256));
-      const std::span<const std::uint8_t> bytes(buffer.data() + offset, length);
-      ASSERT_EQ(crc32(bytes), bytewise_crc32(bytes))
-          << "length " << length << ", offset " << offset;
-    }
-  }
+TEST(TraceIo, ExtremeMinutesRoundTrip) {
+  // Minute deltas wrap mod 2^64, so one block can hold both ends of the
+  // int64 range without signed overflow on either side.
+  auto records = sample_records(3);
+  records[0].minute = INT64_MAX;
+  records[1].minute = INT64_MIN;
+  records[2].minute = 0;
+  const auto bytes = trace_bytes(records);
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  TraceReader reader(in);
+  EXPECT_EQ(reader.read_all(), records);
+}
+
+TEST(TraceIo, HugePayloadSizeIsRejectedBeforeAllocating) {
+  // A valid header, a 1-record block claiming a 2^62-byte payload, then 20
+  // zero bytes: the size is checked against the count's bounds first.
+  std::vector<std::uint8_t> bytes = trace_bytes({});
+  bytes.resize(kTraceHeaderBytes);
+  put_varint(bytes, 1);
+  put_varint(bytes, std::uint64_t{1} << 62);
+  bytes.resize(bytes.size() + 20, 0);
+  EXPECT_EQ(strict_read_error(bytes), FrameError::Kind::kOversized);
+}
+
+TEST(TraceIo, HugeRecordCountIsRejectedBeforeAllocating) {
+  // A valid 1-record payload and CRC behind a record count of 2^62. The
+  // CRC does not cover the count, so the count is bounded on its own.
+  const auto good = trace_bytes(sample_records(1));
+  const auto layout = trace_layout(good);
+  ASSERT_EQ(layout.size(), 1u);
+  ASSERT_EQ(layout[0].record_count, 1u);
+  std::vector<std::uint8_t> bytes(good.begin(),
+                                  good.begin() + static_cast<std::ptrdiff_t>(
+                                                     layout[0].offset));
+  put_varint(bytes, std::uint64_t{1} << 62);
+  bytes.insert(bytes.end(),
+               good.begin() + static_cast<std::ptrdiff_t>(layout[0].offset + 1),
+               good.end());
+  EXPECT_EQ(strict_read_error(bytes), FrameError::Kind::kOversized);
 }
 
 // Property: round trip across block boundaries (block size is 4096 records).

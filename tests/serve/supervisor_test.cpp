@@ -1,16 +1,18 @@
 // Supervisor admission control: deterministic 1:k shedding with exact
-// ledgers, outage-informed baselines, checkpointed event sequences, and a
-// status report that adds up.
+// ledgers, outage-informed baselines, checkpointed event sequences, a
+// status report that adds up, and recovery past a book that does not decode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "netflow/frame.h"
 #include "serve/supervisor.h"
 #include "sim/trace_generator.h"
 
@@ -245,6 +247,67 @@ TEST(Supervisor, StatusReportAddsUp) {
   EXPECT_NE(report.find("records routed: " + std::to_string(feed.size())),
             std::string::npos);
   EXPECT_NE(report.find(std::to_string(sup.book(0).shed)), std::string::npos);
+}
+
+TEST(Supervisor, RecoverFallsBackPastAnUndecodableBook) {
+  // A generation whose supervisor.dmsv frames cleanly (magic, version,
+  // size and CRC all intact) but whose payload does not decode must be
+  // rejected by the book decoder itself: recover() adopts the generation
+  // before it and ledgers the bad one as kUndecodable. The bad generation
+  // is committed through CheckpointRotator::rotate, so its MANIFEST is
+  // consistent and only the decoder can object.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "dm_supervisor_undecodable_book";
+  fs::remove_all(dir);
+  ServeConfig config = base_config();
+  config.state_dir = dir.string();
+  const auto tenants = [] {
+    std::vector<TenantSpec> specs;
+    specs.push_back({"solo", 1, 0, 0, 8});
+    return specs;
+  };
+  const auto feed = burst_feed();
+  const std::size_t prefix = feed.size() / 2;
+
+  std::int64_t good = -1;
+  std::vector<ShardFile> files;
+  {
+    Supervisor sup(sim_cloud_space(), nullptr, tenants(), config);
+    for (std::size_t i = 0; i < prefix; ++i) sup.ingest(0, feed[i]);
+    good = sup.rotate_now();
+    ASSERT_GE(good, 0);
+    files = sup.snapshot_files();
+  }
+  ASSERT_EQ(files[0].name, "supervisor.dmsv");
+  // The book's own magic and version, then a CRC-valid payload that ends
+  // inside its second varint.
+  std::vector<std::uint8_t> book(
+      files[0].bytes.begin(),
+      files[0].bytes.begin() + netflow::kFrameHeaderBytes);
+  netflow::put_frame_body(book, std::vector<std::uint8_t>{0x05, 0x80});
+  files[0].bytes = std::move(book);
+  std::int64_t bad = -1;
+  {
+    CheckpointRotator rotator(dir.string(), config.keep_generations);
+    bad = rotator.rotate(std::move(files));
+  }
+  ASSERT_GT(bad, good);
+
+  Supervisor resumed(sim_cloud_space(), nullptr, tenants(), config);
+  const RecoveryReport report = resumed.recover();
+  EXPECT_EQ(report.generation, good);
+  EXPECT_EQ(report.resume_index, prefix);
+  EXPECT_EQ(resumed.book(0).offered, prefix);
+  bool saw_undecodable = false;
+  for (const DamageEntry& entry : report.ledger) {
+    if (entry.kind != DamageKind::kUndecodable) continue;
+    saw_undecodable = true;
+    EXPECT_EQ(entry.generation, bad);
+    EXPECT_NE(entry.detail.find("book: "), std::string::npos) << entry.detail;
+  }
+  EXPECT_TRUE(saw_undecodable);
+  fs::remove_all(dir);
 }
 
 }  // namespace

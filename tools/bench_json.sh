@@ -4,8 +4,8 @@
 # BENCH_pipeline.json (stage -> threads -> items/s, real time, peak RSS)
 # at the repo root so the throughput/memory trajectory is tracked per PR.
 #
-# Memory-sensitive rows (the fused/unfused Study comparison and the
-# longitudinal spill-vs-resident pair) run in separate processes: peak RSS
+# Memory-sensitive rows (the paper-scale Study rows and the longitudinal
+# spill-vs-resident pair) run in separate processes: peak RSS
 # is a process-wide high-water mark, so sharing a process would let the
 # first benchmark's footprint mask the second's.
 #
@@ -56,18 +56,12 @@ run pipeline_stages.json perf_pipeline \
   "(BM_GenerateTrace|BM_AggregateWindows|BM_FusedGenerateWindows|BM_DetectMinutes)/${THREAD1}|BM_FullDetection"
 run study_fused.json perf_pipeline "BM_StudyEndToEnd/${THREAD1}"
 run serve_overload.json perf_pipeline "BM_ServeOverload/${THREAD1}"
-if [[ "$NCPU" == "1" ]]; then
-  run study_unfused.json perf_pipeline 'BM_StudyEndToEndUnfused/threads:1'
-else
-  run study_unfused.json perf_pipeline 'BM_StudyEndToEndUnfused'
-fi
 if [[ "${DM_BENCH_PAPER:-0}" != "0" ]]; then
   # One process per row: each row's peak_rss_mib must be its own high-water
   # mark, not the max over every row run before it.
-  paper_rows=('threads:1/fused:1')
+  paper_rows=('threads:1')
   if [[ "$NCPU" != "1" ]]; then
-    paper_rows+=('threads:2/fused:1' 'threads:4/fused:1'
-                 'threads:8/fused:1' 'threads:8/fused:0')
+    paper_rows+=('threads:2' 'threads:4' 'threads:8')
   fi
   paper_row=0
   for row in "${paper_rows[@]}"; do
@@ -106,7 +100,7 @@ for path in sorted(glob.glob(os.path.join(tmp, "*.json"))):
         name = b["name"]
         stage = re.match(r"(?:BM_)?([^/]+)", name).group(1)
         # Inner key: the parameter segment ("threads:8" or
-        # "threads:8/fused:0"); plain benchmarks key as "threads:1".
+        # "spill:1"); plain benchmarks key as "threads:1".
         params = [p for p in name.split("/")[1:]
                   if p not in ("real_time", "process_time")
                   and not p.startswith("iterations:")]

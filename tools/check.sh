@@ -11,11 +11,12 @@
 #   2. clang-tidy over src/exec, src/netflow, src/detect (runs only when a
 #      clang-tidy binary is available)
 #   3. TSan build + concurrency suites
-#   4. ASan+UBSan build + codec suites
+#   4. ASan+UBSan build + codec suites (columnar store, frame codec with
+#      its golden bytes, traces, windows, segments)
 #   5. DM_SPILL=1: spill-tier differential + crash-recovery suites (ASan)
 #   6. DM_SERVE=1: serve fleet suites — checkpoint-rotation crash matrix,
-#      supervisor admission/shed, sink + buffered-writer retry/backoff,
-#      restore validation — plus a randomized crash/corruption soak
+#      supervisor admission/shed and book-decoder rejection, sink +
+#      buffered-writer retry/backoff, restore validation — plus a randomized crash/corruption soak
 #      (DM_SOAK_SECONDS), all under the same ASan+UBSan build
 #   7. DM_BENCH_JSON=1: refresh BENCH_pipeline.json (Release)
 #   8. DM_BENCH_GATE=1: per-stage items/s regression gate vs the committed
@@ -28,7 +29,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
@@ -122,8 +123,9 @@ fi
 # Optional serve-fleet stage: the checkpoint-rotation crash matrix (every
 # kill-point x {clean, corrupted gen-N} x 1/2/8 rotation threads, asserting
 # byte-identical resume with exact damage ledgers), the supervisor
-# admission/shed suites, the sink + buffered-writer retry/backoff suites,
-# the malformed-checkpoint restore regression, and the rotation-coverage
+# admission/shed suites (including recovery past a book the decoder
+# rejects), the sink + buffered-writer retry/backoff suites, the
+# malformed-checkpoint restore regression, and the rotation-coverage
 # tripwire — all under the ASan+UBSan build, because recovery walks
 # attacker-controlled (torn/corrupt) bytes. A randomized crash-cell soak
 # (DM_SOAK_SECONDS, seed printed via SCOPED_TRACE on failure) then hammers
