@@ -4,9 +4,11 @@
 #include <bit>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "netflow/frame.h"
 #include "netflow/varint.h"
+#include "util/error.h"
 
 namespace dm::detect {
 
@@ -83,7 +85,12 @@ StreamMonitor::StreamMonitor(netflow::PrefixSet cloud_space,
       on_alert_(std::move(on_alert)),
       on_incident_(std::move(on_incident)),
       stream_(stream),
-      incident_builder_(timeouts_) {}
+      incident_builder_(timeouts_) {
+  if (stream_.reorder_lag < 0) {
+    throw ConfigError("stream: reorder lag must be >= 0, got " +
+                      std::to_string(stream_.reorder_lag));
+  }
+}
 
 void StreamMonitor::ingest(const FlowRecord& record) {
   ++records_ingested_;

@@ -36,7 +36,8 @@ namespace dm::detect {
 struct StreamConfig {
   /// Minutes of reorder tolerance: a record for minute M commits windows
   /// with minute < M - reorder_lag, so records up to `reorder_lag` minutes
-  /// behind the newest are still accepted. 0 = commit immediately.
+  /// behind the newest are still accepted. 0 = commit immediately;
+  /// negative lags are rejected (ConfigError).
   util::Minute reorder_lag = 0;
   /// Drop byte-identical duplicates of records already ingested into a
   /// still-open minute (collectors re-emit on retry storms).
@@ -51,7 +52,8 @@ class StreamMonitor {
   /// `cloud_space` orients records; `blacklist` (optional, not owned, must
   /// outlive the monitor) enables TDS detection. `on_alert` fires per
   /// flagged minute as soon as its window closes; `on_incident` fires when
-  /// an incident's inactive timeout expires (or at finish()).
+  /// an incident's inactive timeout expires (or at finish()). Throws
+  /// ConfigError on a negative reorder lag.
   StreamMonitor(netflow::PrefixSet cloud_space,
                 const netflow::PrefixSet* blacklist = nullptr,
                 DetectionConfig config = {},

@@ -19,7 +19,7 @@ thread_local int tls_index = -1;
 
 TaskGroup::~TaskGroup() { wait_no_throw(); }
 
-void TaskGroup::run(std::function<void()> fn) {
+void TaskGroup::run(std::function<void()> fn, std::size_t queue) {
   std::size_t seq;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -31,7 +31,7 @@ void TaskGroup::run(std::function<void()> fn) {
     ThreadPool::execute(task);
     return;
   }
-  pool_->submit(ThreadPool::Task{std::move(fn), this, seq});
+  pool_->submit(ThreadPool::Task{std::move(fn), this, seq}, queue);
 }
 
 void TaskGroup::wait() {
@@ -104,9 +104,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::submit(Task task) {
+void ThreadPool::submit(Task task, std::size_t queue) {
   std::size_t target;
-  if (tls_pool == this && tls_index >= 0) {
+  if (queue != TaskGroup::kAnyQueue) {
+    target = queue % workers_.size();
+  } else if (tls_pool == this && tls_index >= 0) {
     target = static_cast<std::size_t>(tls_index);
   } else {
     std::lock_guard<std::mutex> g(submit_mu_);

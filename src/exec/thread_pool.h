@@ -42,8 +42,15 @@ class TaskGroup {
   /// wait() before destruction to observe it).
   ~TaskGroup();
 
+  /// Means "no preferred queue" to run().
+  static constexpr std::size_t kAnyQueue =
+      std::numeric_limits<std::size_t>::max();
+
   /// Submits one task. On an inline pool the task runs before run() returns.
-  void run(std::function<void()> fn);
+  /// `queue`, when given, names the worker queue the task starts on (mod the
+  /// worker count): a caller that submits the same shard every batch keeps
+  /// that shard's data on one core, and idle workers still steal it.
+  void run(std::function<void()> fn, std::size_t queue = kAnyQueue);
 
   /// Blocks until every submitted task completed; rethrows the first (by
   /// submission order) captured exception, if any.
@@ -66,8 +73,9 @@ class TaskGroup {
 
 /// Fixed-size work-stealing pool. Each worker owns a deque: it pops its own
 /// tasks LIFO (locality) and steals FIFO from siblings when idle. External
-/// submitters round-robin across worker queues; worker-thread submitters
-/// push to their own queue so nested fan-out stays local.
+/// submitters round-robin across worker queues unless they name one;
+/// worker-thread submitters push to their own queue so nested fan-out stays
+/// local.
 class ThreadPool {
  public:
   /// std::thread::hardware_concurrency(), clamped to at least 1.
@@ -100,7 +108,7 @@ class ThreadPool {
     std::deque<Task> queue;
   };
 
-  void submit(Task task);
+  void submit(Task task, std::size_t queue);
   /// Steals and runs one queued task; false when every queue was empty.
   bool run_one();
   void worker_loop(unsigned index);

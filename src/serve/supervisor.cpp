@@ -54,6 +54,45 @@ void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
          ".dmck";
 }
 
+/// The tenant a cloud-side address routes to: the high half of its mix, so
+/// the choice is independent of the shard (the low bits mod the shards).
+[[nodiscard]] std::size_t tenant_of(std::uint32_t vip,
+                                    std::size_t tenants) noexcept {
+  return static_cast<std::size_t>(mix64(vip) >> 32) % tenants;
+}
+
+/// `minute - lag` for lag >= 0, saturated at the minute floor.
+[[nodiscard]] util::Minute minus_lag(util::Minute minute,
+                                     util::Minute lag) noexcept {
+  return minute < INT64_MIN + lag ? INT64_MIN : minute - lag;
+}
+
+[[nodiscard]] Event alert_event(const detect::MinuteDetection& d) {
+  Event e;
+  e.kind = Event::Kind::kAlert;
+  e.vip = d.vip.value();
+  e.direction = static_cast<std::uint8_t>(d.direction);
+  e.type = static_cast<std::uint8_t>(d.type);
+  e.start = d.minute;
+  e.end = d.minute + 1;
+  e.packets = d.sampled_packets;
+  e.remotes = d.unique_remotes;
+  return e;
+}
+
+[[nodiscard]] Event incident_event(const detect::AttackIncident& inc) {
+  Event e;
+  e.kind = Event::Kind::kIncident;
+  e.vip = inc.vip.value();
+  e.direction = static_cast<std::uint8_t>(inc.direction);
+  e.type = static_cast<std::uint8_t>(inc.type);
+  e.start = inc.start;
+  e.end = inc.end;
+  e.packets = inc.total_sampled_packets;
+  e.remotes = inc.peak_unique_remotes;
+  return e;
+}
+
 }  // namespace
 
 Supervisor::Supervisor(netflow::PrefixSet cloud_space,
@@ -69,32 +108,47 @@ Supervisor::Supervisor(netflow::PrefixSet cloud_space,
       shed_base_(util::Rng(config_.seed).split(kShedStream)) {
   if (specs_.empty()) throw ConfigError("serve: at least one tenant required");
   books_.resize(specs_.size());
-  monitors_.resize(specs_.size());
+  first_lane_.resize(specs_.size());
+  std::size_t lanes = 0;
   for (std::size_t t = 0; t < specs_.size(); ++t) {
     TenantSpec& spec = specs_[t];
     spec.shards = std::max<std::uint32_t>(1, spec.shards);
     spec.shed_factor = std::max<std::uint64_t>(2, spec.shed_factor);
     books_[t].shards.resize(spec.shards);
-    monitors_[t].reserve(spec.shards);
-    for (std::uint32_t s = 0; s < spec.shards; ++s) {
-      monitors_[t].push_back(make_monitor(t));
+    first_lane_[t] = lanes;
+    lanes += spec.shards;
+  }
+  // Sized once: monitor callbacks hold their lane's address.
+  lanes_.resize(lanes);
+  for (std::size_t t = 0; t < specs_.size(); ++t) {
+    for (std::uint32_t s = 0; s < specs_[t].shards; ++s) {
+      Lane& lane = lanes_[first_lane_[t] + s];
+      lane.tenant = t;
+      lane.shard = s;
+      lane.monitor = make_monitor(lane);
     }
   }
+  if (pool_ != nullptr) runs_ = std::make_unique<exec::TaskGroup>(*pool_);
   if (!config_.state_dir.empty()) {
     rotator_ = std::make_unique<CheckpointRotator>(config_.state_dir,
                                                    config_.keep_generations);
   }
 }
 
+// Joins before any monitor is destroyed: a run in flight still uses it.
+Supervisor::~Supervisor() { runs_.reset(); }
+
 std::unique_ptr<detect::StreamMonitor> Supervisor::make_monitor(
-    std::size_t tenant) {
+    Lane& lane) const {
+  // The callbacks run wherever the lane's run runs, so they touch only the
+  // lane's outbox; deliver() numbers the events on the caller.
   return std::make_unique<detect::StreamMonitor>(
       cloud_space_, blacklist_, config_.detection, config_.timeouts,
-      [this, tenant](const detect::MinuteDetection& d) {
-        emit_alert(tenant, d);
+      [&lane](const detect::MinuteDetection& d) {
+        lane.outbox.push_back({lane.index, alert_event(d)});
       },
-      [this, tenant](const detect::AttackIncident& inc) {
-        emit_incident(tenant, inc);
+      [&lane](const detect::AttackIncident& inc) {
+        lane.outbox.push_back({lane.index, incident_event(inc)});
       },
       config_.stream);
 }
@@ -105,47 +159,17 @@ std::uint32_t Supervisor::shard_of(std::uint32_t vip,
   return static_cast<std::uint32_t>(mix64(vip) % shards);
 }
 
-std::size_t Supervisor::route(const netflow::FlowRecord& record) const {
-  const std::uint32_t vip = cloud_space_.contains(record.dst_ip)
-                                ? record.dst_ip.value()
-                            : cloud_space_.contains(record.src_ip)
-                                ? record.src_ip.value()
-                                : record.dst_ip.value();
-  return static_cast<std::size_t>(mix64(vip) >> 32) % specs_.size();
+std::uint32_t Supervisor::vip_of(
+    const netflow::FlowRecord& record) const noexcept {
+  if (cloud_space_.contains(record.dst_ip)) return record.dst_ip.value();
+  if (cloud_space_.contains(record.src_ip)) return record.src_ip.value();
+  return record.dst_ip.value();
 }
 
-void Supervisor::emit_alert(std::size_t tenant,
-                            const detect::MinuteDetection& d) {
-  TenantBook& book = books_[tenant];
-  Event e;
-  e.kind = Event::Kind::kAlert;
-  e.tenant = specs_[tenant].name;
-  e.seq = book.event_seq++;
-  e.vip = d.vip.value();
-  e.direction = static_cast<std::uint8_t>(d.direction);
-  e.type = static_cast<std::uint8_t>(d.type);
-  e.start = d.minute;
-  e.end = d.minute + 1;
-  e.packets = d.sampled_packets;
-  e.remotes = d.unique_remotes;
-  if (writer_ != nullptr) writer_->push(std::move(e));
-}
-
-void Supervisor::emit_incident(std::size_t tenant,
-                               const detect::AttackIncident& inc) {
-  TenantBook& book = books_[tenant];
-  Event e;
-  e.kind = Event::Kind::kIncident;
-  e.tenant = specs_[tenant].name;
-  e.seq = book.event_seq++;
-  e.vip = inc.vip.value();
-  e.direction = static_cast<std::uint8_t>(inc.direction);
-  e.type = static_cast<std::uint8_t>(inc.type);
-  e.start = inc.start;
-  e.end = inc.end;
-  e.packets = inc.total_sampled_packets;
-  e.remotes = inc.peak_unique_remotes;
-  if (writer_ != nullptr) writer_->push(std::move(e));
+void Supervisor::to_all_shards(std::size_t tenant, const ShardOp& op) {
+  for (std::uint32_t s = 0; s < specs_[tenant].shards; ++s) {
+    lanes_[first_lane_[tenant] + s].filling.push_back(op);
+  }
 }
 
 void Supervisor::close_buckets(std::size_t tenant, util::Minute before) {
@@ -157,10 +181,16 @@ void Supervisor::close_buckets(std::size_t tenant, util::Minute before) {
     const BucketBook& bb = it->second;
     // Shed minutes are declared outages to the shards that shed in them:
     // a 1:k-sampled minute must not teach the volume detectors that the
-    // tenant's baseline collapsed.
+    // tenant's baseline collapsed. The declaration rides in the shard's
+    // run, between the same records as in a serial ingest.
     for (std::uint32_t s = 0; s < bb.shard_shed.size(); ++s) {
       if (bb.shard_shed[s] > 0) {
-        monitors_[tenant][s]->note_outage(minute, minute + 1);
+        ShardOp op;
+        op.kind = ShardOp::Kind::kOutage;
+        op.index = records_routed_;
+        op.record.minute = minute;
+        op.to = minute + 1;
+        lanes_[first_lane_[tenant] + s].filling.push_back(op);
       }
     }
     if (bb.shed > 0) {
@@ -177,33 +207,125 @@ void Supervisor::close_buckets(std::size_t tenant, util::Minute before) {
   }
 }
 
-void Supervisor::ingest(std::size_t tenant, const netflow::FlowRecord& record) {
-  // Rotation boundary first: the committed state is exactly "everything
-  // before feed index records_routed_", which is what recover() reports.
-  if (rotator_ != nullptr && config_.rotation_interval > 0) {
-    const std::int64_t bucket =
-        floor_div(record.minute, config_.rotation_interval);
-    if (rotation_mark_ == INT64_MIN) {
-      rotation_mark_ = bucket;
-    } else if (bucket > rotation_mark_) {
-      rotation_mark_ = bucket;
-      rotate_now(auto_kill_);
+void Supervisor::drain(Lane& lane) {
+  detect::StreamMonitor& monitor = *lane.monitor;
+  for (const ShardOp& op : lane.running) {
+    lane.index = op.index;
+    switch (op.kind) {
+      case ShardOp::Kind::kIngest:
+        monitor.ingest(op.record);
+        if (op.refresh_gauge) lane.gauge = monitor.approx_state_bytes();
+        break;
+      case ShardOp::Kind::kOutage:
+        monitor.note_outage(op.record.minute, op.to);
+        break;
+      case ShardOp::Kind::kAdvance:
+        monitor.advance_to(op.record.minute);
+        break;
+      case ShardOp::Kind::kFinish:
+        monitor.finish();
+        break;
     }
   }
-  ++records_routed_;
+  lane.running.clear();
+}
+
+void Supervisor::launch() {
+  for (std::size_t f = 0; f < lanes_.size(); ++f) {
+    Lane& lane = lanes_[f];
+    if (lane.filling.empty()) continue;
+    std::swap(lane.filling, lane.running);
+    if (runs_ != nullptr) {
+      runs_->run([&lane] { drain(lane); }, f);
+    } else {
+      drain(lane);
+    }
+  }
+}
+
+void Supervisor::join() const {
+  if (runs_ != nullptr) runs_->wait();
+}
+
+void Supervisor::deliver() {
+  // Every feed index belongs to one shard, so a merge by index replays the
+  // serial emission order; advance/finish ops share an index and tie-break
+  // in shard order, as the serial loops over tenants and shards did.
+  std::vector<std::size_t> next(lanes_.size(), 0);
+  for (;;) {
+    std::size_t from = lanes_.size();
+    for (std::size_t f = 0; f < lanes_.size(); ++f) {
+      if (next[f] == lanes_[f].outbox.size()) continue;
+      if (from == lanes_.size() ||
+          lanes_[f].outbox[next[f]].index <
+              lanes_[from].outbox[next[from]].index) {
+        from = f;
+      }
+    }
+    if (from == lanes_.size()) break;
+    Event& e = lanes_[from].outbox[next[from]++].event;
+    const std::size_t tenant = lanes_[from].tenant;
+    e.tenant = specs_[tenant].name;
+    e.seq = books_[tenant].event_seq++;
+    if (writer_ != nullptr) writer_->push(std::move(e));
+  }
+  for (Lane& lane : lanes_) {
+    lane.outbox.clear();
+    if (lane.gauge) {
+      books_[lane.tenant].shards[lane.shard].state_gauge = *lane.gauge;
+      lane.gauge.reset();
+    }
+  }
+}
+
+void Supervisor::barrier() {
+  join();
+  launch();
+  join();
+  deliver();
+}
+
+void Supervisor::ingest(std::size_t tenant, const netflow::FlowRecord& record) {
+  admit(tenant, record, vip_of(record));
+}
+
+void Supervisor::ingest_routed(const netflow::FlowRecord& record) {
+  const std::uint32_t vip = vip_of(record);
+  admit(tenant_of(vip, specs_.size()), record, vip);
+}
+
+void Supervisor::admit(std::size_t tenant, const netflow::FlowRecord& record,
+                       std::uint32_t vip) {
+  if (newest_ == kNoMinute || record.minute > newest_) {
+    newest_ = record.minute;
+    // The monitors ingest the minute just filled while the caller admits
+    // this one.
+    join();
+    deliver();
+    launch();
+    // Rotation boundary first: the committed state is exactly "everything
+    // before feed index records_routed_", which is what recover() reports.
+    // The rotation bucket can only advance with the newest minute.
+    if (rotator_ != nullptr && config_.rotation_interval > 0) {
+      const std::int64_t bucket =
+          floor_div(record.minute, config_.rotation_interval);
+      if (rotation_mark_ == INT64_MIN) {
+        rotation_mark_ = bucket;
+      } else if (bucket > rotation_mark_) {
+        rotation_mark_ = bucket;
+        rotate_now(auto_kill_);
+      }
+    }
+  }
+  const std::uint64_t index = records_routed_++;
 
   TenantSpec& spec = specs_[tenant];
   TenantBook& book = books_[tenant];
   if (record.minute > book.high_water || book.high_water == kNoMinute) {
-    close_buckets(tenant, record.minute - config_.stream.reorder_lag);
+    close_buckets(tenant, minus_lag(record.minute, config_.stream.reorder_lag));
     book.high_water = record.minute;
   }
 
-  const std::uint32_t vip = cloud_space_.contains(record.dst_ip)
-                                ? record.dst_ip.value()
-                            : cloud_space_.contains(record.src_ip)
-                                ? record.src_ip.value()
-                                : record.dst_ip.value();
   const std::uint32_t s = shard_of(vip, spec.shards);
   ShardBook& sb = book.shards[s];
   BucketBook& bb = book.open_buckets[record.minute];
@@ -236,36 +358,50 @@ void Supervisor::ingest(std::size_t tenant, const netflow::FlowRecord& record) {
   ++book.admitted;
   ++bb.admitted;
   ++sb.admitted;
-  monitors_[tenant][s]->ingest(record);
-  if (config_.gauge_refresh > 0 && sb.admitted % config_.gauge_refresh == 0) {
-    sb.state_gauge = monitors_[tenant][s]->approx_state_bytes();
-  }
-}
-
-void Supervisor::ingest_routed(const netflow::FlowRecord& record) {
-  ingest(route(record), record);
+  ShardOp op;
+  op.record = record;
+  op.index = index;
+  op.refresh_gauge =
+      config_.gauge_refresh > 0 && sb.admitted % config_.gauge_refresh == 0;
+  lanes_[first_lane_[tenant] + s].filling.push_back(op);
+  // A memory-budgeted shard's next admission reads the fresh gauge.
+  if (op.refresh_gauge && spec.max_state_bytes > 0) barrier();
 }
 
 void Supervisor::note_outage(std::size_t tenant, util::Minute from,
                              util::Minute to) {
-  for (auto& monitor : monitors_[tenant]) monitor->note_outage(from, to);
+  ShardOp op;
+  op.kind = ShardOp::Kind::kOutage;
+  op.index = records_routed_;
+  op.record.minute = from;
+  op.to = to;
+  to_all_shards(tenant, op);
 }
 
 void Supervisor::advance_to(util::Minute minute) {
+  ShardOp op;
+  op.kind = ShardOp::Kind::kAdvance;
+  op.index = records_routed_;
+  op.record.minute = minute;
   for (std::size_t t = 0; t < specs_.size(); ++t) {
     close_buckets(t, minute);
     if (books_[t].high_water == kNoMinute || books_[t].high_water < minute) {
       books_[t].high_water = minute;
     }
-    for (auto& monitor : monitors_[t]) monitor->advance_to(minute);
+    to_all_shards(t, op);
   }
+  barrier();
 }
 
 void Supervisor::finish() {
+  ShardOp op;
+  op.kind = ShardOp::Kind::kFinish;
+  op.index = records_routed_;
   for (std::size_t t = 0; t < specs_.size(); ++t) {
     close_buckets(t, INT64_MAX);
-    for (auto& monitor : monitors_[t]) monitor->finish();
+    to_all_shards(t, op);
   }
+  barrier();
   if (writer_ != nullptr) writer_->drain();
 }
 
@@ -415,27 +551,24 @@ void Supervisor::decode_books(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-std::vector<ShardFile> Supervisor::snapshot_files() const {
-  // Flat (tenant, shard) list; each monitor serializes independently, so
-  // the pool can checkpoint shards concurrently with identical bytes.
-  std::vector<std::pair<std::size_t, std::uint32_t>> flat;
-  for (std::size_t t = 0; t < specs_.size(); ++t) {
-    for (std::uint32_t s = 0; s < specs_[t].shards; ++s) flat.push_back({t, s});
-  }
+std::vector<ShardFile> Supervisor::snapshot_files() {
+  barrier();
+  // Each monitor serializes independently, so the pool can checkpoint
+  // shards concurrently with identical bytes.
   std::vector<std::vector<std::uint8_t>> blobs =
       exec::parallel_map<std::vector<std::uint8_t>>(
-          pool_, flat.size(), [&](std::size_t i) {
+          pool_, lanes_.size(), [&](std::size_t f) {
             std::ostringstream out(std::ios::binary);
-            monitors_[flat[i].first][flat[i].second]->checkpoint(out);
+            lanes_[f].monitor->checkpoint(out);
             const std::string s = out.str();
             return std::vector<std::uint8_t>(s.begin(), s.end());
           });
   std::vector<ShardFile> files;
-  files.reserve(flat.size() + 1);
+  files.reserve(lanes_.size() + 1);
   files.push_back({kBookFile, encode_books()});
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    files.push_back(
-        {shard_file_name(flat[i].first, flat[i].second), std::move(blobs[i])});
+  for (std::size_t f = 0; f < lanes_.size(); ++f) {
+    files.push_back({shard_file_name(lanes_[f].tenant, lanes_[f].shard),
+                     std::move(blobs[f])});
   }
   return files;
 }
@@ -449,11 +582,12 @@ std::int64_t Supervisor::rotate_now(fault::KillSwitch* kill) {
 RecoveryReport Supervisor::recover() {
   RecoveryReport report;
   if (rotator_ == nullptr) return report;
+  barrier();
 
   std::vector<TenantBook> books;
   std::uint64_t routed = 0;
   std::int64_t mark = INT64_MIN;
-  std::vector<std::vector<std::unique_ptr<detect::StreamMonitor>>> monitors;
+  std::vector<std::unique_ptr<detect::StreamMonitor>> monitors;  // per lane
 
   const auto decode_ok = [&](const LoadedGeneration& gen,
                              std::string& why) -> bool {
@@ -473,28 +607,25 @@ RecoveryReport Supervisor::recover() {
     }
     try {
       decode_books(book_file->bytes, books, routed, mark);
-      monitors.resize(specs_.size());
-      for (std::size_t t = 0; t < specs_.size(); ++t) {
-        for (std::uint32_t s = 0; s < specs_[t].shards; ++s) {
-          const std::string name = shard_file_name(t, s);
-          const ShardFile* file = nullptr;
-          for (const ShardFile& f : gen.files) {
-            if (f.name == name) {
-              file = &f;
-              break;
-            }
+      for (Lane& lane : lanes_) {
+        const std::string name = shard_file_name(lane.tenant, lane.shard);
+        const ShardFile* file = nullptr;
+        for (const ShardFile& f : gen.files) {
+          if (f.name == name) {
+            file = &f;
+            break;
           }
-          if (file == nullptr) {
-            why = "missing shard checkpoint " + name;
-            return false;
-          }
-          auto monitor = make_monitor(t);
-          std::istringstream in(
-              std::string(file->bytes.begin(), file->bytes.end()),
-              std::ios::binary);
-          monitor->restore(in);
-          monitors[t].push_back(std::move(monitor));
         }
+        if (file == nullptr) {
+          why = "missing shard checkpoint " + name;
+          return false;
+        }
+        auto monitor = make_monitor(lane);
+        std::istringstream in(
+            std::string(file->bytes.begin(), file->bytes.end()),
+            std::ios::binary);
+        monitor->restore(in);
+        monitors.push_back(std::move(monitor));
       }
     } catch (const FormatError& e) {
       why = e.what();
@@ -506,7 +637,9 @@ RecoveryReport Supervisor::recover() {
   const LoadedGeneration loaded = rotator_->recover(report.ledger, decode_ok);
   if (loaded.generation >= 0) {
     books_ = std::move(books);
-    monitors_ = std::move(monitors);
+    for (std::size_t f = 0; f < lanes_.size(); ++f) {
+      lanes_[f].monitor = std::move(monitors[f]);
+    }
     records_routed_ = routed;
     rotation_mark_ = mark;
     last_generation_ = loaded.generation;
@@ -516,7 +649,8 @@ RecoveryReport Supervisor::recover() {
   return report;
 }
 
-std::string Supervisor::status_report() const {
+std::string Supervisor::status_report() {
+  barrier();
   util::TextTable table;
   table.set_header({"tenant", "shards", "offered", "admitted", "shed", "late",
                     "quarantined", "alerts", "incidents"});
@@ -526,11 +660,13 @@ std::string Supervisor::status_report() const {
     std::uint64_t quarantined = 0;
     std::uint64_t alerts = 0;
     std::uint64_t incidents = 0;
-    for (const auto& monitor : monitors_[t]) {
-      late += monitor->records_late();
-      quarantined += monitor->records_quarantined();
-      alerts += monitor->alerts();
-      incidents += monitor->incidents();
+    for (std::uint32_t s = 0; s < specs_[t].shards; ++s) {
+      const detect::StreamMonitor& monitor =
+          *lanes_[first_lane_[t] + s].monitor;
+      late += monitor.records_late();
+      quarantined += monitor.records_quarantined();
+      alerts += monitor.alerts();
+      incidents += monitor.incidents();
     }
     table.row(specs_[t].name, std::to_string(specs_[t].shards),
               std::to_string(b.offered), std::to_string(b.admitted),

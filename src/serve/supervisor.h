@@ -31,6 +31,17 @@
 //    BufferedWriter (retry/backoff/spill) — at-least-once after a crash,
 //    exactly ordered within a run.
 //
+//  * Pipelined shard ingest. Admission runs on the caller, in arrival
+//    order. Admitted records go to their shard's run; when a record opens a
+//    new feed minute, the runs filled during the previous minute start on
+//    the pool, one task per shard, while the caller admits the new minute.
+//    Each task writes its monitor's events to the shard's outbox, tagged
+//    with the feed index of the record that emitted them; the caller
+//    merges the outboxes by feed index, which is exactly the order a
+//    one-thread ingest emits. Events, checkpoints and books are therefore
+//    byte-identical for every pool size, and with no pool the runs drain
+//    inline at the same minute boundaries.
+//
 // Time is virtual throughout: every decision is driven by feed minutes,
 // never the wall clock, which is what makes the whole service replayable.
 #pragma once
@@ -38,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,35 +159,38 @@ struct RecoveryReport {
 class Supervisor {
  public:
   /// `blacklist` and `pool` (both optional) must outlive the supervisor;
-  /// `writer` (optional) receives alert/incident events. The pool
-  /// parallelizes rotation serialization only — ingest is sequential, so
-  /// results never depend on thread count.
+  /// `writer` (optional) receives alert/incident events. The pool runs the
+  /// shards' monitors and serializes rotations; results never depend on
+  /// its size. Throws ConfigError on a negative reorder lag.
   Supervisor(netflow::PrefixSet cloud_space,
              const netflow::PrefixSet* blacklist,
              std::vector<TenantSpec> tenants, ServeConfig config,
              BufferedWriter* writer = nullptr,
              exec::ThreadPool* pool = nullptr);
+  /// Waits for the shard runs in flight. Their undelivered events, and any
+  /// exception they threw, are dropped: call finish() to deliver.
+  ~Supervisor();
+  Supervisor(const Supervisor&) = delete;
+  Supervisor& operator=(const Supervisor&) = delete;
 
   /// Deterministic VIP -> shard assignment (splitmix64 finalizer mod n).
   [[nodiscard]] static std::uint32_t shard_of(std::uint32_t vip,
                                               std::uint32_t shards) noexcept;
-
-  /// The tenant dmnf's router assigns a record to (mix of its cloud-side
-  /// address; unclassifiable records fall back to the destination).
-  [[nodiscard]] std::size_t route(const netflow::FlowRecord& record) const;
 
   /// Feeds one record to `tenant`'s fleet through admission control.
   /// Rotates the checkpoint first when the record's minute crosses a
   /// rotation boundary (so the rotation point is an exact feed index).
   void ingest(std::size_t tenant, const netflow::FlowRecord& record);
 
-  /// route() + ingest().
+  /// ingest() into the tenant that a mix of the record's cloud-side
+  /// address picks (unclassifiable records fall back to the destination).
   void ingest_routed(const netflow::FlowRecord& record);
 
   /// Declares a collector outage to every shard of `tenant`.
   void note_outage(std::size_t tenant, util::Minute from, util::Minute to);
 
-  /// Closes feed minutes < `minute` everywhere (buckets + monitors).
+  /// Closes feed minutes < `minute` everywhere (buckets + monitors) and
+  /// delivers every event so far.
   void advance_to(util::Minute minute);
 
   /// Flushes every bucket, monitor, and (when present) the writer.
@@ -197,12 +212,13 @@ class Supervisor {
   [[nodiscard]] RecoveryReport recover();
 
   /// The fleet's complete serialized state as generation files (what
-  /// rotate_now would commit) — the byte-identity oracle for tests.
-  [[nodiscard]] std::vector<ShardFile> snapshot_files() const;
+  /// rotate_now would commit) — the byte-identity oracle for tests. Drains
+  /// the shard runs and delivers their events first.
+  [[nodiscard]] std::vector<ShardFile> snapshot_files();
 
   /// Human-readable status: per-tenant admission/shed/alert counters plus
-  /// writer and rotation state.
-  [[nodiscard]] std::string status_report() const;
+  /// writer and rotation state. Drains the shard runs first.
+  [[nodiscard]] std::string status_report();
 
   // Introspection.
   [[nodiscard]] std::size_t tenant_count() const noexcept {
@@ -211,12 +227,19 @@ class Supervisor {
   [[nodiscard]] const TenantSpec& spec(std::size_t t) const {
     return specs_[t];
   }
+  /// Admission counters are current; event_seq and the shard state
+  /// gauges lag until the shard runs behind them are delivered (finish()
+  /// and every other barrier deliver all of them).
   [[nodiscard]] const TenantBook& book(std::size_t t) const {
     return books_[t];
   }
+  /// Joins the shard runs in flight, so the monitor holds every record of
+  /// the minutes before the newest one; records of the newest minute may
+  /// still be pending (finish() or advance_to() settles them).
   [[nodiscard]] const detect::StreamMonitor& monitor(std::size_t t,
                                                      std::uint32_t s) const {
-    return *monitors_[t][s];
+    join();
+    return *lanes_[first_lane_[t] + s].monitor;
   }
   [[nodiscard]] std::uint64_t records_routed() const noexcept {
     return records_routed_;
@@ -226,14 +249,73 @@ class Supervisor {
   }
 
  private:
+  /// One deferred call on a shard's monitor, in feed order.
+  struct ShardOp {
+    enum class Kind : std::uint8_t { kIngest, kOutage, kAdvance, kFinish };
+    /// kIngest: the record. The other kinds use only record.minute: the
+    /// outage [minute, to) or the advance_to minute.
+    netflow::FlowRecord record;
+    std::uint64_t index = 0;  ///< feed index; tags the events the op emits
+    util::Minute to = 0;
+    Kind kind = Kind::kIngest;
+    bool refresh_gauge = false;  ///< kIngest: re-sample the state gauge after
+  };
+
+  /// An event a shard's monitor emitted, before it gets its tenant name
+  /// and sequence number.
+  struct Emitted {
+    std::uint64_t index = 0;  ///< the emitting op's feed index
+    Event event;
+  };
+
+  /// One VIP shard. The caller appends to `filling` while a pool task owns
+  /// the cache lines from `monitor` on: it runs `running` through the
+  /// monitor and leaves the events in `outbox` and the newest state gauge
+  /// sample in `gauge`. The alignment keeps the task's per-op stores off
+  /// the caller's line and off the other shards' lines.
+  struct alignas(64) Lane {
+    std::vector<ShardOp> filling;
+    std::size_t tenant = 0;
+    std::uint32_t shard = 0;
+
+    alignas(64) std::unique_ptr<detect::StreamMonitor> monitor;
+    std::vector<ShardOp> running;
+    std::vector<Emitted> outbox;
+    std::optional<std::uint64_t> gauge;
+    std::uint64_t index = 0;  ///< the op in progress
+  };
+
   [[nodiscard]] std::unique_ptr<detect::StreamMonitor> make_monitor(
-      std::size_t tenant);
+      Lane& lane) const;
+  /// A record's cloud-side address, which picks its tenant and its shard:
+  /// the destination if the cloud owns it, else the source if the cloud
+  /// owns that, else (unclassifiable) the destination.
+  [[nodiscard]] std::uint32_t vip_of(
+      const netflow::FlowRecord& record) const noexcept;
+  /// Admission control for one record whose cloud-side address is `vip`.
+  void admit(std::size_t tenant, const netflow::FlowRecord& record,
+             std::uint32_t vip);
   /// Closes every open bucket of `tenant` with minute < `before`: declares
   /// shed minutes as outages to the affected shards and folds the bucket
   /// into the shed ledger.
   void close_buckets(std::size_t tenant, util::Minute before);
-  void emit_alert(std::size_t tenant, const detect::MinuteDetection& d);
-  void emit_incident(std::size_t tenant, const detect::AttackIncident& inc);
+  /// Appends `op` to every shard of `tenant`.
+  void to_all_shards(std::size_t tenant, const ShardOp& op);
+  /// Runs `lane.running` through its monitor (on a pool thread or inline).
+  static void drain(Lane& lane);
+  /// Starts every non-empty filled run: one pool task per shard, queued on
+  /// worker `lane index mod workers` so a shard tends to stay on one core;
+  /// inline without a pool.
+  void launch();
+  /// Waits for the runs launched last.
+  void join() const;
+  /// Merges the outboxes by feed index (ties in shard order, as a serial
+  /// ingest emits them), numbers and pushes the events, and moves the
+  /// fresh gauge samples into the books.
+  void deliver();
+  /// Leaves nothing pending: every admitted record is in its monitor and
+  /// every event delivered.
+  void barrier();
   [[nodiscard]] std::vector<std::uint8_t> encode_books() const;
   void decode_books(const std::vector<std::uint8_t>& bytes,
                     std::vector<TenantBook>& tenants_out,
@@ -249,7 +331,10 @@ class Supervisor {
   util::Rng shed_base_;
 
   std::vector<TenantBook> books_;
-  std::vector<std::vector<std::unique_ptr<detect::StreamMonitor>>> monitors_;
+  std::vector<Lane> lanes_;               ///< every shard, tenant-major
+  std::vector<std::size_t> first_lane_;   ///< per tenant: its shard 0's lane
+  std::unique_ptr<exec::TaskGroup> runs_;  ///< null without a pool
+  util::Minute newest_ = kNoMinute;       ///< newest feed minute routed
   std::uint64_t records_routed_ = 0;
   std::int64_t rotation_mark_ = INT64_MIN;  ///< last rotation bucket index
   std::int64_t last_generation_ = -1;

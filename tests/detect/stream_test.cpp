@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <tuple>
 
 #include "detect/pipeline.h"
@@ -261,6 +262,34 @@ TEST(StreamMonitor, ReorderLagAcceptsBoundedDisorder) {
   EXPECT_EQ(monitor.records_late(), 1u);
   monitor.finish();
   EXPECT_EQ(monitor.windows_closed(), 3u);
+}
+
+TEST(StreamMonitor, NegativeReorderLagIsRejected) {
+  // A lag of -1 would commit each minute on its first record, so the rest
+  // of that minute would count as late.
+  StreamConfig stream;
+  stream.reorder_lag = -1;
+  EXPECT_THROW(StreamMonitor(cloud_space(), nullptr, DetectionConfig{},
+                             TimeoutTable::paper(), nullptr, nullptr, stream),
+               ConfigError);
+  stream.reorder_lag = 0;
+  EXPECT_NO_THROW(StreamMonitor(cloud_space(), nullptr, DetectionConfig{},
+                                TimeoutTable::paper(), nullptr, nullptr,
+                                stream));
+}
+
+TEST(StreamMonitor, ReorderLagAtTheMinuteFloor) {
+  // Minutes next to INT64_MIN decode; with a lag they are merely late.
+  StreamConfig stream;
+  stream.reorder_lag = 2;
+  StreamMonitor monitor(cloud_space(), nullptr, DetectionConfig{},
+                        TimeoutTable::paper(), nullptr, nullptr, stream);
+  monitor.ingest(syn(INT64_MIN + 1, 1));
+  monitor.ingest(syn(INT64_MIN, 2));
+  monitor.ingest(syn(5, 3));
+  monitor.finish();
+  EXPECT_EQ(monitor.records_late(), 2u);
+  EXPECT_EQ(monitor.windows_closed(), 1u);
 }
 
 TEST(StreamMonitor, ReorderedFloodMatchesInOrderResult) {

@@ -91,6 +91,22 @@ TEST(ThreadPool, GroupIsReusableAfterWait) {
   EXPECT_EQ(ran.load(), 3);
 }
 
+TEST(ThreadPool, QueueHintsWrapAndHintedWorkIsStillStolen) {
+  // Every task names worker queue 1 (hint 3 wraps to it), and one of them
+  // spins until all the others ran: they can only finish by being stolen.
+  ThreadPool pool(2);
+  TaskGroup group(pool);
+  std::atomic<int> ran{0};
+  group.run(
+      [&ran] {
+        while (ran.load() < 50) std::this_thread::yield();
+      },
+      3);
+  for (int i = 0; i < 50; ++i) group.run([&ran] { ++ran; }, 1);
+  group.wait();
+  EXPECT_EQ(ran.load(), 50);
+}
+
 TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {
   // A task fans out a child group on the same pool and waits on it — the
   // waiting worker must help drain the queue instead of blocking, even on a

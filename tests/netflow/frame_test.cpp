@@ -159,8 +159,8 @@ TEST(FrameGolden, FreshSupervisorBook) {
       0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x7b, 0x90, 0xf8};
   std::vector<serve::TenantSpec> tenants;
   tenants.push_back({"solo", 1, 0, 0, 8});
-  const serve::Supervisor sup(cloud_space(), nullptr, std::move(tenants),
-                              serve::ServeConfig{});
+  serve::Supervisor sup(cloud_space(), nullptr, std::move(tenants),
+                        serve::ServeConfig{});
   const std::vector<serve::ShardFile> files = sup.snapshot_files();
   ASSERT_EQ(files.size(), 2u);
   EXPECT_EQ(files[0].name, "supervisor.dmsv");
@@ -226,7 +226,7 @@ TEST(FrameCodec, BothReadersClassifyEveryEnvelopeDamageAlike) {
        {}, Kind::kTruncated},
       {"cut in payload", [&](Bytes& b) { b.resize(body + 5); }, {},
        Kind::kTruncated},
-      {"cut in CRC", [](Bytes& b) { b.resize(b.size() - 2); }, {},
+      {"cut in CRC", [](Bytes& b) { b.erase(b.end() - 2, b.end()); }, {},
        Kind::kTruncated},
       {"bad magic", [](Bytes& b) { b[1] ^= 0x20; }, {}, Kind::kBadMagic},
       {"bad version", [](Bytes& b) { b[4] = 9; }, {}, Kind::kBadVersion},

@@ -79,7 +79,7 @@ std::unique_ptr<Supervisor> make_supervisor(const std::string& state_dir,
                                       fleet_config(state_dir), nullptr, pool);
 }
 
-std::string snapshot_blob(const Supervisor& sup) {
+std::string snapshot_blob(Supervisor& sup) {
   std::string blob;
   for (const ShardFile& f : sup.snapshot_files()) {
     blob += f.name;

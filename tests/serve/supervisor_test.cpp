@@ -1,6 +1,8 @@
 // Supervisor admission control: deterministic 1:k shedding with exact
 // ledgers, outage-informed baselines, checkpointed event sequences, a
-// status report that adds up, and recovery past a book that does not decode.
+// status report that adds up, and recovery past a book that does not decode;
+// the pipelined shard ingest's event stream and state, byte-identical for
+// every pool size; and the reorder-lag domain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "fault/fault.h"
 #include "netflow/frame.h"
 #include "serve/supervisor.h"
 #include "sim/trace_generator.h"
@@ -63,7 +66,7 @@ ServeConfig base_config() {
   return config;  // no state_dir: checkpoint rotation disabled
 }
 
-std::string snapshot_blob(const Supervisor& sup) {
+std::string snapshot_blob(Supervisor& sup) {
   std::string blob;
   for (const ShardFile& f : sup.snapshot_files()) {
     blob += f.name;
@@ -175,30 +178,183 @@ TEST(Supervisor, MemoryBudgetShedsOncePressured) {
   EXPECT_GT(book.shards[0].state_gauge, 1u);
 }
 
+/// What one fleet run leaves behind: the BinarySink's bytes, the snapshot
+/// files, and the records the admission controller shed.
+struct FleetOutput {
+  std::string events;
+  std::string snapshot;
+  std::uint64_t offered = 0;
+  std::vector<std::uint64_t> shed;  ///< per tenant
+};
+
+FleetOutput run_fleet(const std::vector<FlowRecord>& feed,
+                      std::vector<TenantSpec> tenants,
+                      const ServeConfig& config, exec::ThreadPool* pool) {
+  std::ostringstream out(std::ios::binary);
+  BinarySink sink(out);
+  BufferedWriter writer(sink, WriterConfig{});
+  Supervisor sup(sim_cloud_space(), nullptr, std::move(tenants), config,
+                 &writer, pool);
+  for (const auto& r : feed) sup.ingest_routed(r);
+  sup.finish();
+  writer.close();
+  FleetOutput result;
+  result.events = out.str();
+  result.snapshot = snapshot_blob(sup);
+  for (std::size_t t = 0; t < sup.tenant_count(); ++t) {
+    result.offered += sup.book(t).offered;
+    result.shed.push_back(sup.book(t).shed);
+  }
+  return result;
+}
+
+std::uint32_t crc_of(const std::string& bytes) {
+  return netflow::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
 TEST(Supervisor, IdenticalRunsProduceIdenticalStateAcrossPools) {
   const auto feed = scenario_feed();
-  auto make_tenants = [] {
-    std::vector<TenantSpec> tenants;
-    tenants.push_back({"alpha", 2, 400, 0, 4});
-    tenants.push_back({"beta", 2, 0, 0, 8});
-    return tenants;
-  };
-  std::string first_blob;
+  const std::vector<TenantSpec> tenants = {{"alpha", 2, 400, 0, 4},
+                                           {"beta", 2, 0, 0, 8}};
+  FleetOutput first;
   for (const unsigned workers : {0u, 2u, 8u}) {
     exec::ThreadPool pool(workers);
-    Supervisor sup(sim_cloud_space(), nullptr, make_tenants(), base_config(),
-                   nullptr, &pool);
-    for (const auto& r : feed) sup.ingest_routed(r);
-    sup.finish();
-    const std::string blob = snapshot_blob(sup);
-    if (first_blob.empty()) {
-      first_blob = blob;
-      EXPECT_GT(sup.book(0).offered + sup.book(1).offered, 0u);
-      EXPECT_EQ(sup.book(0).offered + sup.book(1).offered, feed.size());
+    const FleetOutput run = run_fleet(feed, tenants, base_config(), &pool);
+    if (first.snapshot.empty()) {
+      first = run;
+      EXPECT_FALSE(run.events.empty());
+      EXPECT_EQ(run.offered, feed.size());
     } else {
-      EXPECT_EQ(blob, first_blob) << workers << " workers diverged";
+      EXPECT_EQ(run.events, first.events) << workers << " workers diverged";
+      EXPECT_EQ(run.snapshot, first.snapshot) << workers << " workers diverged";
     }
   }
+}
+
+TEST(Supervisor, EventStreamIsIdenticalAcrossPools) {
+  // A reordered feed through a 2-shard and a 3-shard tenant, once without
+  // budgets and once with a rate budget beside a memory budget, must emit
+  // the same event bytes and leave the same state for every pool size. The
+  // golden sizes and CRCs were captured from the serial implementation.
+  fault::RecordPlan plan;
+  plan.reorder_window = 32;
+  fault::RecordDamage damage;
+  const auto feed =
+      fault::FaultInjector(11).degrade(scenario_feed(), plan, &damage);
+  ASSERT_GT(damage.displaced, 0u);
+
+  struct Case {
+    const char* name;
+    std::vector<TenantSpec> tenants;
+    std::uint64_t gauge_refresh;
+    std::size_t events_size;
+    std::uint32_t events_crc;
+    std::uint32_t snapshot_crc;
+  };
+  const Case cases[] = {
+      {"unbudgeted",
+       {{"alpha", 2, 0, 0, 8}, {"beta", 3, 0, 0, 8}},
+       1024, 191385, 4192480817u, 4220052164u},
+      {"budgeted",
+       {{"alpha", 2, 400, 0, 4}, {"beta", 3, 0, 36000, 8}},
+       64, 176821, 4190288336u, 2869826734u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServeConfig config = base_config();
+    config.stream.reorder_lag = 2;
+    config.gauge_refresh = c.gauge_refresh;
+    const FleetOutput serial = run_fleet(feed, c.tenants, config, nullptr);
+    EXPECT_EQ(serial.events.size(), c.events_size);
+    EXPECT_EQ(crc_of(serial.events), c.events_crc);
+    EXPECT_EQ(crc_of(serial.snapshot), c.snapshot_crc);
+    for (std::size_t t = 0; t < c.tenants.size(); ++t) {
+      const bool budgeted = c.tenants[t].max_records_per_minute > 0 ||
+                            c.tenants[t].max_state_bytes > 0;
+      EXPECT_EQ(serial.shed[t] > 0, budgeted) << "tenant " << t;
+    }
+    for (const unsigned workers : {0u, 1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(workers);
+      exec::ThreadPool pool(workers);
+      const FleetOutput pooled = run_fleet(feed, c.tenants, config, &pool);
+      EXPECT_EQ(pooled.events, serial.events);
+      EXPECT_EQ(pooled.snapshot, serial.snapshot);
+      EXPECT_EQ(pooled.shed, serial.shed);
+    }
+  }
+}
+
+TEST(Supervisor, MonitorReadsBetweenRecordsAreSafe) {
+  // A traced replay reads every shard's state gauge and every book once
+  // per feed minute while the shard runs are on the pool. monitor() joins
+  // them first, the books are the caller's own, and the reads change no
+  // output.
+  const auto feed = scenario_feed();
+  const std::vector<TenantSpec> tenants = {{"alpha", 2, 0, 0, 8},
+                                           {"beta", 2, 0, 0, 8}};
+  exec::ThreadPool pool(3);
+  const FleetOutput plain = run_fleet(feed, tenants, base_config(), &pool);
+
+  std::ostringstream out(std::ios::binary);
+  BinarySink sink(out);
+  BufferedWriter writer(sink, WriterConfig{});
+  Supervisor sup(sim_cloud_space(), nullptr, tenants, base_config(), &writer,
+                 &pool);
+  util::Minute newest = kNoMinute;
+  std::uint64_t peak_state = 0;
+  std::uint64_t offered = 0;
+  for (const auto& r : feed) {
+    const bool advances = newest == kNoMinute || r.minute > newest;
+    sup.ingest_routed(r);
+    if (!advances) continue;
+    newest = r.minute;
+    std::uint64_t total = 0;
+    for (std::size_t t = 0; t < sup.tenant_count(); ++t) {
+      for (std::uint32_t s = 0; s < sup.spec(t).shards; ++s) {
+        peak_state =
+            std::max(peak_state, sup.monitor(t, s).approx_state_bytes());
+      }
+      total += sup.book(t).offered;
+    }
+    EXPECT_GT(total, offered);
+    offered = total;
+  }
+  sup.finish();
+  writer.close();
+  EXPECT_GT(peak_state, 0u);
+  EXPECT_EQ(out.str(), plain.events);
+  EXPECT_EQ(snapshot_blob(sup), plain.snapshot);
+}
+
+TEST(Supervisor, NegativeReorderLagIsRejected) {
+  ServeConfig config = base_config();
+  config.stream.reorder_lag = -1;
+  std::vector<TenantSpec> tenants;
+  tenants.push_back({"solo", 1, 0, 0, 8});
+  EXPECT_THROW(Supervisor(sim_cloud_space(), nullptr, tenants, config),
+               ConfigError);
+}
+
+TEST(Supervisor, ReorderLagSaturatesAtTheMinuteFloor) {
+  // minute - reorder_lag must saturate next to INT64_MIN: a wrapped
+  // subtraction would close the INT64_MIN bucket one minute later, while
+  // it is still within the lag.
+  ServeConfig config = base_config();
+  config.stream.reorder_lag = 2;
+  std::vector<TenantSpec> tenants;
+  tenants.push_back({"solo", 1, 0, 0, 8});
+  Supervisor sup(sim_cloud_space(), nullptr, std::move(tenants), config);
+  FlowRecord r = burst_feed().front();
+  r.minute = INT64_MIN;
+  sup.ingest(0, r);
+  r.minute = INT64_MIN + 1;
+  sup.ingest(0, r);
+  EXPECT_EQ(sup.book(0).open_buckets.size(), 2u);
+  sup.finish();
+  EXPECT_TRUE(sup.book(0).open_buckets.empty());
+  EXPECT_EQ(sup.book(0).admitted, 2u);
+  EXPECT_EQ(sup.monitor(0, 0).records_late(), 2u);
 }
 
 TEST(Supervisor, EventsCarryContiguousCheckpointedSequences) {

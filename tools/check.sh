@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the parallel pipeline: build the test suite under
 # ThreadSanitizer and run the concurrency-sensitive tests — the exec pool
-# unit tests, the sharded-aggregation property tests, and the
-# serial-equivalence integration tests — then build under ASan+UBSan and
+# unit tests, the sharded-aggregation property tests, the
+# serial-equivalence integration tests, and the serve supervisor suites
+# whose shard runs ingest on pool threads — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
 # varint pointer walks; ASan catches overreads TSan never would).
 #
@@ -10,7 +11,10 @@
 #   1. dmlint self-scan against the committed baseline (skip: DM_LINT=0)
 #   2. clang-tidy over src/exec, src/netflow, src/detect (runs only when a
 #      clang-tidy binary is available)
-#   3. TSan build + concurrency suites
+#   3. TSan build + concurrency suites (exec pool, sharded aggregation,
+#      serial equivalence, Supervisor pipelined shard ingest, and the
+#      crash matrix's MidGenerationAndRepeatedKillPoints case; the full
+#      RotationCrashMatrix runs in the DM_SERVE ASan stage)
 #   4. ASan+UBSan build + codec suites (columnar store, frame codec with
 #      its golden bytes, traces, windows, segments)
 #   5. DM_SPILL=1: spill-tier differential + crash-recovery suites (ASan)
@@ -28,7 +32,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
-FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort}"
+FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Supervisor|MidGenerationAndRepeatedKillPoints}"
 ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in

@@ -28,6 +28,7 @@
 
 #include "detect/pipeline.h"
 #include "detect/stream.h"
+#include "exec/thread_pool.h"
 #include "serve/supervisor.h"
 #include "util/error.h"
 #include "netflow/csv.h"
@@ -434,8 +435,11 @@ int cmd_serve(const Args& args) {
   serve::WriterConfig writer_config;
   writer_config.seed = config.seed;
   serve::BufferedWriter writer(*sink, writer_config);
+  // The shards' monitors run on the pool; the output does not depend on
+  // its size.
+  exec::ThreadPool pool(exec::workers_for(0));
   serve::Supervisor supervisor(space, nullptr, std::move(specs), config,
-                               &writer);
+                               &writer, &pool);
 
   std::uint64_t resume_index = 0;
   if (!config.state_dir.empty()) {
