@@ -52,33 +52,6 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t n, Body&& body) {
   group.wait();
 }
 
-/// parallel_for_chunks with an explicit chunk count (clamped to [1, n]).
-/// Unlike the adaptive overload — which collapses to ONE chunk on a serial
-/// pool — this always splits [0, n) into the requested number of chunks and,
-/// without workers, runs them in order on the calling thread. Callers use it
-/// when the chunk count bounds something besides parallelism (e.g. the
-/// fused pipeline's per-shard transient memory), which must not balloon just
-/// because thread_count is 1.
-template <typename Body>
-void parallel_for_chunks_n(ThreadPool* pool, std::size_t n, std::size_t chunks,
-                           Body&& body) {
-  if (n == 0) return;
-  chunks = std::max<std::size_t>(1, std::min(chunks, n));
-  if (pool == nullptr || pool->thread_count() == 0 || chunks == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      body(c * n / chunks, (c + 1) * n / chunks, c);
-    }
-    return;
-  }
-  TaskGroup group(*pool);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * n / chunks;
-    const std::size_t end = (c + 1) * n / chunks;
-    group.run([&body, begin, end, c] { body(begin, end, c); });
-  }
-  group.wait();
-}
-
 /// Runs body(i) for every i in [0, n), chunked as above.
 template <typename Body>
 void parallel_for(ThreadPool* pool, std::size_t n, Body&& body) {
@@ -103,33 +76,19 @@ template <typename T, typename Map>
   return results;
 }
 
-/// parallel_map_chunks with an explicit chunk count — see
-/// parallel_for_chunks_n for when the chunk count matters beyond
-/// parallelism.
-template <typename T, typename Map>
-[[nodiscard]] std::vector<T> parallel_map_chunks_n(ThreadPool* pool,
-                                                   std::size_t n,
-                                                   std::size_t chunks,
-                                                   Map&& map) {
-  chunks = n == 0 ? 0 : std::max<std::size_t>(1, std::min(chunks, n));
-  std::vector<T> results(chunks);
-  parallel_for_chunks_n(pool, n, chunks,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-                          results[c] = map(begin, end);
-                        });
-  return results;
-}
-
-/// Bounded-residency variant of parallel_map_chunks_n: chunks execute in
-/// waves of `window`, and after each wave's barrier its results are handed
-/// to consume(chunk_index, T&&) in chunk-index order before the next wave
-/// starts. At most `window` chunk results are ever alive at once — the
-/// memory bound the spill tier's shard merge needs — while chunk boundaries
-/// and consume order are IDENTICAL to parallel_map_chunks_n followed by an
-/// ordered fold, so the consumed sequence is byte-equal for any window and
-/// any thread count. (A wave barrier, not a producer-blocking queue: the
-/// pool pops its own queue LIFO, so low-index chunks finish last and a
-/// bounded queue would either stall every worker or buffer every result.)
+/// Maps `chunks` chunks of [0, n) (clamped to [1, n]) to one T each, in
+/// waves of `window`: after each wave's barrier its results are handed to
+/// consume(chunk_index, T&&) in chunk-index order before the next wave
+/// starts. Unlike the adaptive skeletons, the chunk count never collapses on
+/// a serial pool — without workers the chunks run in order on the calling
+/// thread — because callers use it to bound something besides parallelism
+/// (a shard's transient memory). At most `window` chunk results are ever
+/// alive at once — the memory bound the spill tier's shard merge needs —
+/// while chunk boundaries and consume order do not depend on the window, so
+/// the consumed sequence is byte-equal for any window and any thread count.
+/// (A wave barrier, not a producer-blocking queue: the pool pops its own
+/// queue LIFO, so low-index chunks finish last and a bounded queue would
+/// either stall every worker or buffer every result.)
 template <typename T, typename Map, typename Consume>
 void parallel_map_waves_n(ThreadPool* pool, std::size_t n, std::size_t chunks,
                           std::size_t window, Map&& map, Consume&& consume) {
@@ -193,71 +152,6 @@ template <typename T>
                std::make_move_iterator(p.end()));
   }
   return out;
-}
-
-/// Sorts `v` by `less`. Chunks are sorted in parallel, then pairwise-merged;
-/// when `less` is a strict total order (no ties) the result is the unique
-/// sorted permutation, hence independent of the chunk count. Callers that
-/// need byte-stable output must therefore break ties (e.g. by original
-/// index) inside `less`.
-template <typename T, typename Less>
-void parallel_sort(ThreadPool* pool, std::vector<T>& v, Less less) {
-  const std::size_t n = v.size();
-  std::size_t chunks = chunk_count_for(pool, n);
-  if (chunks <= 1) {
-    std::sort(v.begin(), v.end(), less);
-    return;
-  }
-
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = c * n / chunks;
-  parallel_for_chunks(pool, chunks,
-                      [&](std::size_t cb, std::size_t ce, std::size_t) {
-                        for (std::size_t c = cb; c < ce; ++c) {
-                          std::sort(v.begin() + static_cast<std::ptrdiff_t>(bounds[c]),
-                                    v.begin() + static_cast<std::ptrdiff_t>(bounds[c + 1]),
-                                    less);
-                        }
-                      });
-
-  // Merge tree: each round merges adjacent run pairs src -> dst in parallel.
-  std::vector<T> scratch(v.size());
-  std::vector<T>* src = &v;
-  std::vector<T>* dst = &scratch;
-  while (bounds.size() > 2) {
-    const std::size_t runs = bounds.size() - 1;
-    const std::size_t pairs = runs / 2;
-    // chunks > 1 implies a real pool (chunk_count_for returns 1 otherwise).
-    TaskGroup group(*pool);
-    const auto merge_pair = [&](std::size_t p) {
-      const std::size_t lo = bounds[2 * p];
-      const std::size_t mid = bounds[2 * p + 1];
-      const std::size_t hi = bounds[2 * p + 2];
-      std::merge(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                 src->begin() + static_cast<std::ptrdiff_t>(mid),
-                 src->begin() + static_cast<std::ptrdiff_t>(mid),
-                 src->begin() + static_cast<std::ptrdiff_t>(hi),
-                 dst->begin() + static_cast<std::ptrdiff_t>(lo), less);
-    };
-    for (std::size_t p = 0; p < pairs; ++p) {
-      group.run([&merge_pair, p] { merge_pair(p); });
-    }
-    group.wait();
-    if (runs % 2 != 0) {
-      // Odd tail run: carried over unmerged.
-      std::copy(src->begin() + static_cast<std::ptrdiff_t>(bounds[runs - 1]),
-                src->begin() + static_cast<std::ptrdiff_t>(bounds[runs]),
-                dst->begin() + static_cast<std::ptrdiff_t>(bounds[runs - 1]));
-    }
-    std::vector<std::size_t> next;
-    next.reserve(pairs + 2);
-    for (std::size_t p = 0; p <= pairs; ++p) next.push_back(bounds[2 * p]);
-    if (runs % 2 != 0) next.push_back(bounds[runs]);
-    else next.back() = bounds[runs];
-    bounds = std::move(next);
-    std::swap(src, dst);
-  }
-  if (src != &v) v = std::move(*src);
 }
 
 }  // namespace dm::exec

@@ -9,8 +9,6 @@
 namespace dm::netflow {
 namespace {
 
-constexpr std::size_t kCrcBytes = 4;
-
 /// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is the
 /// classic bytewise table, and tables[k][b] advances tables[k - 1][b] by
 /// one more zero byte, so eight table lookups fold in eight input bytes.
@@ -112,9 +110,9 @@ void put_frame_body(std::vector<std::uint8_t>& out,
                     std::span<const std::uint8_t> payload) {
   put_varint(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  std::uint8_t crc[kCrcBytes];
+  std::uint8_t crc[kFrameCrcBytes];
   store_le(crc, crc32(payload));
-  out.insert(out.end(), crc, crc + kCrcBytes);
+  out.insert(out.end(), crc, crc + kFrameCrcBytes);
 }
 
 std::uint64_t read_frame_body(std::istream& in,
@@ -137,8 +135,8 @@ std::uint64_t read_frame_body(std::istream& in,
     throw fail(FrameError::Kind::kTruncated,
                "truncated payload (wanted " + std::to_string(size) + " bytes)");
   }
-  std::uint8_t crc[kCrcBytes];
-  if (!read_exact(in, crc, kCrcBytes)) {
+  std::uint8_t crc[kFrameCrcBytes];
+  if (!read_exact(in, crc, kFrameCrcBytes)) {
     throw fail(FrameError::Kind::kTruncated, "truncated CRC");
   }
   const std::uint32_t expected = load_le<std::uint32_t>(crc);
@@ -148,7 +146,7 @@ std::uint64_t read_frame_body(std::istream& in,
                                                    hex32(expected) +
                                                    ", actual " + hex32(actual));
   }
-  return size_bytes + size + kCrcBytes;
+  return size_bytes + size + kFrameCrcBytes;
 }
 
 SpanBody read_frame_body(std::span<const std::uint8_t> bytes, std::size_t pos,
@@ -168,7 +166,7 @@ SpanBody read_frame_body(std::span<const std::uint8_t> bytes, std::size_t pos,
     return body;
   }
   const std::size_t left = bytes.size() - pos;
-  if (size > left || left - size < kCrcBytes) {
+  if (size > left || left - size < kFrameCrcBytes) {
     body.error = FrameError::Kind::kTruncated;
     return body;
   }
@@ -178,7 +176,7 @@ SpanBody read_frame_body(std::span<const std::uint8_t> bytes, std::size_t pos,
     return body;
   }
   body.payload = payload;
-  body.end = pos + payload.size() + kCrcBytes;
+  body.end = pos + payload.size() + kFrameCrcBytes;
   return body;
 }
 

@@ -87,6 +87,8 @@ void store_le(std::uint8_t* p, T v) noexcept {
 
 /// magic u32 + version u16.
 inline constexpr std::size_t kFrameHeaderBytes = 6;
+/// The CRC-32 that closes a body.
+inline constexpr std::size_t kFrameCrcBytes = 4;
 
 /// Default cap on a body's payload. A damaged size varint must fail the
 /// size check, not become a multi-gigabyte allocation before the CRC gets

@@ -1,10 +1,14 @@
 #include "netflow/trace_io.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <iterator>
+#include <memory>
+#include <new>
 #include <optional>
 #include <ostream>
+#include <streambuf>
 
 #include "netflow/varint.h"
 #include "util/error.h"
@@ -99,6 +103,73 @@ FrameError located(const FrameError& e, std::uint64_t block,
                                   std::to_string(block) + " at byte " +
                                   std::to_string(offset) + ")");
 }
+
+/// An istream source over bytes already in memory. The get area is never
+/// written through; std::streambuf only takes char*.
+class SpanSource : public std::streambuf {
+ public:
+  explicit SpanSource(std::span<const std::uint8_t> bytes) {
+    char* first =
+        const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
+    setg(first, first, first + bytes.size());
+  }
+};
+
+/// Records in the blocks at the front of `bytes` up to the end marker, for
+/// sizing a result once. Walks only the block headers, under block_bounds
+/// and the size bounds, with no CRC check; stops early at the first header
+/// it cannot walk past. Every counted block lies inside `bytes`, so the
+/// total never exceeds the bytes over the smallest record.
+std::uint64_t count_records(std::span<const std::uint8_t> bytes) {
+  std::uint64_t total = 0;
+  std::size_t pos = 0;
+  std::uint64_t count = 0;
+  while (try_get_varint(bytes, pos, count) && count != 0) {
+    const std::optional<SizeBounds> bounds = block_bounds(count);
+    std::uint64_t size = 0;
+    if (!bounds || !try_get_varint(bytes, pos, size) || size < bounds->min ||
+        size > bounds->max || bytes.size() - pos < size + kFrameCrcBytes) {
+      break;
+    }
+    pos += static_cast<std::size_t>(size) + kFrameCrcBytes;
+    total += count;
+  }
+  return total;
+}
+
+/// Everything left in a stream, in one malloc'd buffer.
+class StreamBytes {
+ public:
+  /// Reads with large reads into a buffer that doubles as it fills. It
+  /// grows by realloc, which remaps the pages of a large block instead of
+  /// copying them, and no byte is zero-filled before a read overwrites it.
+  /// A file stream reports only its small internal buffer through
+  /// in_avail(), so nothing is sized by it.
+  explicit StreamBytes(std::istream& in) {
+    constexpr std::size_t kFirstRead = std::size_t{1} << 20;
+    while (in) {
+      const std::size_t capacity = std::max(kFirstRead, 2 * size_);
+      void* grown = std::realloc(data_.get(), capacity);
+      if (grown == nullptr) throw std::bad_alloc();
+      (void)data_.release();
+      data_.reset(static_cast<std::uint8_t*>(grown));
+      in.read(reinterpret_cast<char*>(data_.get() + size_),
+              static_cast<std::streamsize>(capacity - size_));
+      size_ += static_cast<std::size_t>(in.gcount());
+    }
+  }
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {data_.get(), size_};
+  }
+
+ private:
+  struct Free {
+    void operator()(std::uint8_t* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::uint8_t, Free> data_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -237,23 +308,25 @@ bool TraceReader::load_block() {
 }
 
 void TraceReader::salvage_all() {
-  std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>(in_),
-                                std::istreambuf_iterator<char>()};
-  report_.bytes_scanned = buf.size();
-  const std::span<const std::uint8_t> bytes{buf};
+  const StreamBytes rest(in_);
+  const std::span<const std::uint8_t> bytes = rest.bytes();
+  report_.bytes_scanned = bytes.size();
 
   std::size_t pos = 0;
   report_.header_valid = false;
-  if (buf.size() >= kTraceHeaderBytes &&
+  if (bytes.size() >= kTraceHeaderBytes &&
       !check_frame_header(bytes, kTraceMagic, kTraceVersion)) {
     const auto sampling =
-        load_le<std::uint32_t>(buf.data() + kFrameHeaderBytes);
+        load_le<std::uint32_t>(bytes.data() + kFrameHeaderBytes);
     if (sampling != 0) {
       report_.header_valid = true;
       sampling_ = sampling;
       pos = kTraceHeaderBytes;
     }
   }
+
+  // Sized for the intact front of the trace: all of a clean one.
+  block_.reserve(count_records(bytes.subspan(pos)));
 
   // Scan: decode blocks where possible; on damage, probe byte-by-byte for
   // the next position where a whole block (header, plausible sizes, CRC,
@@ -280,10 +353,10 @@ void TraceReader::salvage_all() {
     in_damage = false;
   };
 
-  while (pos < buf.size()) {
+  while (pos < bytes.size()) {
     std::uint64_t count = 0;
     const SpanBody block = read_block(bytes, pos, count, block_);
-    if (!block.error && count == 0 && block.end != buf.size()) {
+    if (!block.error && count == 0 && block.end != bytes.size()) {
       // A zero count mid-file is either corruption or an end marker with
       // trailing garbage; keep scanning so blocks after it are recovered.
       if (!in_damage) {
@@ -311,7 +384,7 @@ void TraceReader::salvage_all() {
     }
     ++pos;
   }
-  close_damage(buf.size());
+  close_damage(bytes.size());
   report_.records_recovered = block_.size();
   cursor_ = 0;
   eof_ = true;  // everything already decoded into block_
@@ -327,8 +400,56 @@ bool TraceReader::next(FlowRecord& out) {
 
 std::vector<FlowRecord> TraceReader::read_all() {
   std::vector<FlowRecord> all;
-  FlowRecord r;
-  while (next(r)) all.push_back(r);
+  if (eof_) {
+    // Salvage decoded everything up front; a strict reader saw the end.
+    if (cursor_ == 0) {
+      all = std::move(block_);
+    } else {
+      all.assign(block_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+                 block_.end());
+    }
+    block_.clear();
+    cursor_ = 0;
+    return all;
+  }
+
+  // The rest of the stream in one buffer, its records counted from the
+  // block headers so the result is sized once; then every block is
+  // CRC-checked and decoded straight into it, behind the rest of the
+  // current block.
+  const StreamBytes rest(in_);
+  const std::span<const std::uint8_t> bytes = rest.bytes();
+  all.reserve(block_.size() - cursor_ + count_records(bytes));
+  all.insert(all.end(), block_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+             block_.end());
+  block_.clear();
+  cursor_ = 0;
+  std::size_t pos = 0;
+  for (;;) {
+    std::uint64_t count = 0;
+    const SpanBody block = read_block(bytes, pos, count, all);
+    if (block.error) {
+      // Replay the block through the stream reader, which words and
+      // locates every error: block index, absolute offset, both CRCs, the
+      // size wanted. It checks the same bounds, so it throws.
+      SpanSource source(bytes.subspan(pos));
+      std::istream replay(&source);
+      TraceReader(replay, block_index_, offset_ + pos).load_block();
+      throw FrameError(*block.error, std::string("trace: ") +
+                                         describe(*block.error));
+    }
+    if (count == 0) {
+      offset_ += block.end;  // through the end marker
+      break;
+    }
+    pos = block.end;
+    ++block_index_;
+    ++report_.blocks_decoded;
+    report_.records_recovered += count;
+    report_.bytes_scanned = offset_ + pos;
+  }
+  eof_ = true;
+  report_.end_marker_seen = true;
   return all;
 }
 

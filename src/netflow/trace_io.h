@@ -121,10 +121,20 @@ class TraceReader {
   /// Reads the next record; false at end of file.
   [[nodiscard]] bool next(FlowRecord& out);
 
-  /// Reads all remaining records.
+  /// Reads all remaining records, the rest of the current block first, into
+  /// a vector sized once to hold them exactly. In strict mode the rest of
+  /// the stream is read into one buffer and every block decoded from it;
+  /// damage throws the same FrameError, with the same text, next() would.
   [[nodiscard]] std::vector<FlowRecord> read_all();
 
  private:
+  /// A strict reader resumed at block `block_index`, `offset` bytes into
+  /// its trace: read_all replays a block it rejected through one, so the
+  /// error is worded and located exactly as next() would throw it.
+  TraceReader(std::istream& in, std::uint64_t block_index,
+              std::uint64_t offset) noexcept
+      : in_(in), offset_(offset), block_index_(block_index) {}
+
   bool load_block();
   void salvage_all();
 

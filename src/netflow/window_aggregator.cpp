@@ -141,32 +141,41 @@ std::optional<Direction> classify_memo(const FlowRecord& record,
   return dst_in ? Direction::kInbound : Direction::kOutbound;
 }
 
-/// The canonical record ordering, packed for cheap comparisons:
-///   k0 = (vip, direction), k1 = minute (sign-bias mapped), and
-///   k2 = (remote ip, arrival index). The arrival-index tie-break makes the
-/// order a strict total order, so any parallel merge of sorted runs yields
-/// the one unique permutation — the root of thread-count invariance.
+/// A window's place in the canonical order: (vip << 1 | direction, then the
+/// minute with its sign bit flipped, so unsigned order is signed order).
+/// Shard cuts are drawn in this order.
+struct WindowKey {
+  std::uint64_t series;
+  std::uint64_t minute;
+
+  friend auto operator<=>(const WindowKey&, const WindowKey&) = default;
+};
+
+WindowKey window_key(const FlowRecord& r, Direction dir) noexcept {
+  const OrientedFlow f{&r, dir};
+  return {(static_cast<std::uint64_t>(f.vip().value()) << 1) |
+              static_cast<std::uint64_t>(dir),
+          static_cast<std::uint64_t>(r.minute) ^ (std::uint64_t{1} << 63)};
+}
+
+/// The full canonical record order for aggregate_shard's comparison-sort
+/// fallback (minutes outside [0, 2^31)): the window key, then
+/// k2 = (remote ip, arrival index). The arrival-index tie-break makes the
+/// order a strict total order.
 struct SortKey {
-  std::uint64_t k0;
-  std::uint64_t k1;
+  WindowKey window;
   std::uint64_t k2;
 
-  [[nodiscard]] bool window_equal(const SortKey& o) const noexcept {
-    return k0 == o.k0 && k1 == o.k1;
-  }
   friend bool operator<(const SortKey& a, const SortKey& b) noexcept {
-    return std::tie(a.k0, a.k1, a.k2) < std::tie(b.k0, b.k1, b.k2);
+    return std::tie(a.window, a.k2) < std::tie(b.window, b.k2);
   }
 };
 
 SortKey key_of(const FlowRecord& r, Direction dir, std::size_t index) noexcept {
   const OrientedFlow f{&r, dir};
-  return SortKey{
-      (static_cast<std::uint64_t>(f.vip().value()) << 1) |
-          static_cast<std::uint64_t>(dir),
-      static_cast<std::uint64_t>(r.minute) ^ (std::uint64_t{1} << 63),
-      (static_cast<std::uint64_t>(f.remote_ip().value()) << 32) |
-          static_cast<std::uint64_t>(index)};
+  return SortKey{window_key(r, dir),
+                 (static_cast<std::uint64_t>(f.remote_ip().value()) << 32) |
+                     static_cast<std::uint64_t>(index)};
 }
 
 /// Single-pass window builder over a just-encoded canonical slice,
@@ -175,13 +184,11 @@ SortKey key_of(const FlowRecord& r, Direction dir, std::size_t index) noexcept {
 /// constant (vip, direction, minute) by construction — so the boundary
 /// check runs once per run, flagged by the block's run_mask, not once per
 /// record. Remote IPs arrive sorted within a window, so distinct counts
-/// fall out of adjacent comparisons exactly as in the record-wise builder
-/// this replaces (the Cursor-based reference in the differential tests).
-/// `index_base` rebases first/last_record into the caller's global index
-/// space; the view's own records always start at a window boundary.
+/// fall out of adjacent comparisons exactly as in a record-wise builder
+/// (the reference in the differential tests). first/last_record index the
+/// view's own records.
 std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
-                                                 const PrefixSet* blacklist,
-                                                 std::size_t index_base) {
+                                                 const PrefixSet* blacklist) {
   std::vector<VipMinuteStats> windows;
   // Every window starts at a run boundary, and nearly every run opens a
   // window (adjacent equal-key runs only arise from mid-run shard cuts), so
@@ -225,13 +232,12 @@ std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
         current->vip = IPv4(block.vip[i]);
         current->minute = block.minute[i];
         current->direction = static_cast<Direction>(block.direction[i]);
-        current->first_record =
-            static_cast<std::uint32_t>(index_base + block.base_index + i);
+        current->first_record = static_cast<std::uint32_t>(block.base_index + i);
         current->last_record = current->first_record;
         seen = 0;
       }
       current->last_record =
-          static_cast<std::uint32_t>(index_base + block.base_index + seg_end);
+          static_cast<std::uint32_t>(block.base_index + seg_end);
 
       for (; i < seg_end; ++i) {
         const std::uint32_t remote = block.remote[i];
@@ -259,7 +265,109 @@ std::vector<VipMinuteStats> build_windows_blocks(const ColumnarView& view,
 /// inside the already-sorted locality window.
 constexpr std::size_t kGatherPrefetch = 8;
 
+/// Cuts for at most `shards` key-range shards: quantiles of the window keys
+/// of a deterministic stride sample (64 per shard) of the classifiable
+/// records, strictly ascending. Shard s holds the keys in
+/// [cuts[s - 1], cuts[s]). Every cut and the smallest sampled key are keys
+/// of real records, so no shard is empty; a cut may fall between any two
+/// windows but never inside one.
+std::vector<WindowKey> shard_cuts(std::span<const FlowRecord> records,
+                                  const PrefixSet& cloud_space,
+                                  std::size_t shards) {
+  const std::size_t stride =
+      std::max<std::size_t>(1, records.size() / (shards * 64));
+  std::vector<WindowKey> sample;
+  for (std::size_t i = 0; i < records.size(); i += stride) {
+    if (const auto dir = classify(records[i], cloud_space)) {
+      sample.push_back(window_key(records[i], *dir));
+    }
+  }
+  std::vector<WindowKey> cuts;
+  if (sample.empty()) return cuts;
+  std::sort(sample.begin(), sample.end());
+  for (std::size_t s = 1; s < shards; ++s) {
+    const WindowKey& cut = sample[s * sample.size() / shards];
+    if (sample.front() < cut && (cuts.empty() || cuts.back() < cut)) {
+      cuts.push_back(cut);
+    }
+  }
+  return cuts;
+}
+
 }  // namespace
+
+std::size_t shard_count_for(const exec::ThreadPool* pool, bool spill) noexcept {
+  const std::size_t per_worker = spill ? 256 : 64;
+  const std::size_t workers =
+      pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
+  return per_worker * std::max<std::size_t>(workers, 1);
+}
+
+WindowedTrace merge_shards(
+    exec::ThreadPool* pool, std::size_t n, std::size_t shards,
+    const std::function<ShardWindows(std::size_t, std::size_t)>& run_shard,
+    const SpillConfig* spill) {
+  std::optional<SpillWriter> writer;
+  if (spill != nullptr && spill->enabled()) writer.emplace(*spill);
+  const std::size_t workers =
+      pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
+  const std::size_t wave =
+      writer ? 2 * std::max<std::size_t>(workers, 1) : shards;
+
+  // Slices are consumed in range order as their wave lands: windows are
+  // rebased to global record offsets, and spilled columns go straight to
+  // the writer, so at most one wave of encoded shards is resident.
+  std::vector<ShardWindows> slices;
+  std::size_t records = 0;
+  std::uint64_t unclassified = 0;
+  exec::parallel_map_waves_n<ShardWindows>(
+      pool, n, shards, wave, run_shard, [&](std::size_t, ShardWindows&& s) {
+        const auto base = static_cast<std::uint32_t>(records);
+        for (VipMinuteStats& w : s.windows) {
+          w.first_record += base;
+          w.last_record += base;
+        }
+        records += s.columns.size();
+        unclassified += s.unclassified;
+        if (writer) {
+          writer->append(std::move(s.columns));
+          if ((slices.size() + 1) % 64 == 0) util::release_free_heap();
+        }
+        slices.push_back(std::move(s));
+      });
+
+  // Range-ordered concatenation into buffers reserved to the exact summed
+  // size, so the appends never over-allocate.
+  std::size_t total_windows = 0;
+  ColumnarRecords::BufferSizes total_bytes;
+  for (const ShardWindows& s : slices) {
+    total_windows += s.windows.size();
+    const auto b = s.columns.buffer_sizes();
+    total_bytes.header_bytes += b.header_bytes + 20;  // re-encoded first header
+    total_bytes.payload_bytes += b.payload_bytes;
+    total_bytes.runs += b.runs;
+    total_bytes.checkpoints += b.checkpoints;
+  }
+  std::vector<VipMinuteStats> windows;
+  windows.reserve(total_windows);
+  ColumnarRecords columns;
+  if (!writer) columns.reserve(total_bytes);
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    windows.insert(windows.end(), slices[i].windows.begin(),
+                   slices[i].windows.end());
+    columns.append(std::move(slices[i].columns));
+    // Free each consumed slice, and trim now and then, so pages the worker
+    // arenas keep for freed slices do not stack under the merged copy.
+    slices[i] = ShardWindows();
+    if ((i + 1) % 64 == 0) util::release_free_heap();
+  }
+  util::release_free_heap();
+  if (writer) {
+    return WindowedTrace(std::move(*writer).finish(), std::move(windows),
+                         unclassified);
+  }
+  return WindowedTrace(std::move(columns), std::move(windows), unclassified);
+}
 
 WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
                                 const PrefixSet& cloud_space,
@@ -268,132 +376,75 @@ WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
                                 const SpillConfig* spill) {
   util::tune_malloc_for_streaming();
   const std::size_t n = records.size();
+  const std::vector<WindowKey> cuts = shard_cuts(
+      records, cloud_space,
+      shard_count_for(pool, spill != nullptr && spill->enabled()));
+  const std::size_t shards = cuts.size() + 1;
 
-  // Phase 1: orient every record (parallel — at most two longest-prefix
-  // lookups per record, memoized per side within a chunk), then compact
-  // serially so kept records retain arrival order.
-  std::vector<std::uint8_t> cls(n);
-  constexpr std::uint8_t kDrop = 2;
+  // Phase 1: orient every record (prefix lookups memoized per side) and
+  // find its shard; count each chunk's records per shard. Unclassifiable
+  // records ride in shard 0, whose aggregate_shard drops and counts them.
+  const std::size_t chunks = exec::chunk_count_for(pool, n);
+  std::vector<std::uint32_t> shard_of(n);
+  std::vector<std::size_t> next(chunks * shards);
   exec::parallel_for_chunks(
-      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
+      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t c) {
         MembershipMemo src_cloud(&cloud_space);
         MembershipMemo dst_cloud(&cloud_space);
+        std::size_t* const count = &next[c * shards];
+        // A series arrives in long runs of ascending minutes, so each
+        // direction's last shard usually still holds the key.
+        std::uint32_t last[2] = {0, 0};
         for (std::size_t i = lo; i < hi; ++i) {
-          const auto dir = classify_memo(records[i], src_cloud, dst_cloud);
-          cls[i] = dir ? static_cast<std::uint8_t>(*dir) : kDrop;
+          std::uint32_t s = 0;
+          if (const auto dir = classify_memo(records[i], src_cloud, dst_cloud)) {
+            const WindowKey key = window_key(records[i], *dir);
+            std::uint32_t& memo = last[static_cast<std::size_t>(*dir)];
+            if ((memo > 0 && key < cuts[memo - 1]) ||
+                (memo < cuts.size() && !(key < cuts[memo]))) {
+              memo = static_cast<std::uint32_t>(
+                  std::upper_bound(cuts.begin(), cuts.end(), key) -
+                  cuts.begin());
+            }
+            s = memo;
+          }
+          shard_of[i] = s;
+          ++count[s];
         }
       });
-  std::vector<Direction> dirs;
-  dirs.reserve(n);
-  std::uint64_t unclassified = 0;
-  {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cls[i] == kDrop) {
-        ++unclassified;
-        continue;
-      }
-      if (keep != i) records[keep] = records[i];
-      dirs.push_back(static_cast<Direction>(cls[i]));
-      ++keep;
-    }
-    records.resize(keep);
-  }
-  const std::size_t kept = records.size();
 
-  // Phase 2: canonical sort — parallel chunk sort + pairwise merges over
-  // precomputed keys; the arrival-index tie-break makes the result unique.
-  std::vector<SortKey> keys(kept);
+  // Phase 2: stable counting scatter. Each chunk writes its records for a
+  // shard behind those of every earlier chunk, in index order, so a shard
+  // keeps arrival order — the tie-break aggregate_shard's radix relies on.
+  std::vector<std::size_t> sizes(shards);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::size_t count = next[c * shards + s];
+      next[c * shards + s] = sizes[s];
+      sizes[s] += count;
+    }
+  }
+  std::vector<std::vector<FlowRecord>> inputs(shards);
+  exec::parallel_for(pool, shards,
+                     [&](std::size_t s) { inputs[s].resize(sizes[s]); });
   exec::parallel_for_chunks(
-      pool, kept, [&](std::size_t lo, std::size_t hi, std::size_t) {
+      pool, n, [&](std::size_t lo, std::size_t hi, std::size_t c) {
+        std::size_t* const at = &next[c * shards];
         for (std::size_t i = lo; i < hi; ++i) {
-          keys[i] = key_of(records[i], dirs[i], i);
+          const std::uint32_t s = shard_of[i];
+          inputs[s][at[s]++] = records[i];
         }
       });
-  exec::parallel_sort(pool, keys,
-                      [](const SortKey& a, const SortKey& b) { return a < b; });
+  records = std::vector<FlowRecord>();
+  shard_of = std::vector<std::uint32_t>();
 
-  // Phase 3: encode the columnar slice AND build windows per shard — the
-  // gather into a sorted array-of-structs copy is gone; each chunk encodes
-  // straight through the sort permutation (keys[i].k2 carries the source
-  // index) and then block-decodes its own just-encoded columns to build the
-  // windows. Shard edges are snapped forward to the next
-  // (vip, direction, minute) boundary so no window (hence no run) straddles
-  // two shards; concatenating shard outputs in index order reproduces the
-  // single-pass result exactly.
-  const auto aligned = [&](std::size_t i) {
-    while (i > 0 && i < kept && keys[i - 1].window_equal(keys[i])) ++i;
-    return i;
-  };
-  struct BuiltChunk {
-    std::vector<VipMinuteStats> windows;
-    ColumnarRecords columns;
-  };
-  const auto build_chunk = [&](std::size_t lo, std::size_t hi) {
-    BuiltChunk chunk;
-    const std::size_t b = aligned(lo);
-    const std::size_t e = aligned(hi);
-    for (std::size_t i = b; i < e; ++i) {
-      if (i + kGatherPrefetch < e) {
-        const auto ahead = static_cast<std::size_t>(
-            keys[i + kGatherPrefetch].k2 & 0xffffffffULL);
-        exec::prefetch_read(&records[ahead]);
-      }
-      const auto src = static_cast<std::size_t>(keys[i].k2 & 0xffffffffULL);
-      chunk.columns.push_back(records[src], dirs[src]);
-    }
-    // Both outputs are held until the index-ordered merge; drop the
-    // push_back growth overshoot so the barrier holds exact sizes.
-    chunk.columns.shrink_to_fit();
-    chunk.windows = build_windows_blocks(chunk.columns.view(), blacklist, b);
-    chunk.windows.shrink_to_fit();
-    return chunk;
-  };
-
-  if (spill != nullptr && spill->enabled()) {
-    // Out-of-core merge: chunks stream through the SpillWriter in index
-    // order (wave-bounded residency) instead of accumulating for the
-    // barrier below. Window first/last_record indices are global already —
-    // build_windows indexes the fully sorted arrays — so no rebase.
-    SpillWriter writer(*spill);
-    std::vector<VipMinuteStats> windows;
-    const std::size_t workers =
-        pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
-    const std::size_t wave = 2 * std::max<std::size_t>(workers, 1);
-    exec::parallel_map_waves_n<BuiltChunk>(
-        pool, kept, exec::chunk_count_for(pool, kept), wave, build_chunk,
-        [&](std::size_t, BuiltChunk&& c) {
-          windows.insert(windows.end(), c.windows.begin(), c.windows.end());
-          writer.append(std::move(c.columns));
-        });
-    return WindowedTrace(std::move(writer).finish(), std::move(windows),
-                         unclassified);
-  }
-
-  std::vector<BuiltChunk> chunks = exec::parallel_map_chunks<BuiltChunk>(
-      pool, kept,
-      [&](std::size_t lo, std::size_t hi) { return build_chunk(lo, hi); });
-
-  std::size_t total_windows = 0;
-  ColumnarRecords::BufferSizes total_bytes;
-  for (const BuiltChunk& c : chunks) {
-    total_windows += c.windows.size();
-    const auto s = c.columns.buffer_sizes();
-    total_bytes.header_bytes += s.header_bytes + 20;  // re-encoded first header
-    total_bytes.payload_bytes += s.payload_bytes;
-    total_bytes.runs += s.runs;
-    total_bytes.checkpoints += s.checkpoints;
-  }
-  std::vector<VipMinuteStats> windows;
-  windows.reserve(total_windows);
-  ColumnarRecords columns;
-  columns.reserve(total_bytes);
-  for (BuiltChunk& c : chunks) {
-    windows.insert(windows.end(), c.windows.begin(), c.windows.end());
-    columns.append(std::move(c.columns));
-    c = BuiltChunk();
-  }
-  return WindowedTrace(std::move(columns), std::move(windows), unclassified);
+  // Phase 3: every shard through the shared core, merged in key order.
+  return merge_shards(
+      pool, shards, shards,
+      [&](std::size_t s, std::size_t) {
+        return aggregate_shard(std::move(inputs[s]), cloud_space, blacklist);
+      },
+      spill);
 }
 
 ShardWindows aggregate_shard(std::vector<FlowRecord> records,
@@ -542,7 +593,7 @@ ShardWindows aggregate_shard(std::vector<FlowRecord> records,
 
   // Feature extraction consumes the shard's own encoded slice in SoA
   // blocks — the decode kernel, not the raw arrays, is the hot path.
-  out.windows = build_windows_blocks(out.columns.view(), blacklist, 0);
+  out.windows = build_windows_blocks(out.columns.view(), blacklist);
   // Shard outputs accumulate until the caller's merge; hold exact sizes,
   // not push_back growth overshoot.
   out.windows.shrink_to_fit();

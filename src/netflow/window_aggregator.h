@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -266,13 +267,17 @@ class WindowedTrace {
                                                 const PrefixSet& cloud_space) noexcept;
 
 /// Builds the windowed dataset. `blacklist` (may be null) marks TDS hosts
-/// for the communication-pattern feature. `pool` (may be null = serial)
-/// shards the classify, sort, and window-build phases; the record order is
-/// canonical — (vip, direction, minute, remote, arrival index) — so the
-/// result is byte-identical for any thread count and any input sharding.
-/// A non-null enabled `spill` streams the encoded chunks through a
-/// SpillWriter instead of concatenating them in RAM; the resulting trace
-/// decodes byte-identically either way.
+/// for the communication-pattern feature. The records are cut into
+/// contiguous ranges of the canonical (vip, direction, minute) key — cuts
+/// drawn from a deterministic sample, so even a VIP carrying most of the
+/// traffic spreads over several shards — by a stable counting scatter, and
+/// each shard runs through aggregate_shard; merge_shards concatenates them.
+/// `pool` (may be null = serial) runs the classify, scatter and shard
+/// phases. The record order is canonical — (vip, direction, minute, remote,
+/// arrival index) — so the result is byte-identical for any thread count
+/// and any input sharding. A non-null enabled `spill` streams the shards'
+/// columns through a SpillWriter instead of concatenating them in RAM; the
+/// resulting trace decodes byte-identically either way.
 [[nodiscard]] WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
                                               const PrefixSet& cloud_space,
                                               const PrefixSet* blacklist = nullptr,
@@ -292,14 +297,38 @@ struct ShardWindows {
 
 /// The shard-level aggregation core shared by aggregate_windows and the
 /// fused generate→aggregate path (sim::generate_windows): classify+compact,
-/// canonical sort (LSD radix over a packed 128-bit key when every minute
-/// fits 31 bits — always true for generator output — comparison sort
+/// canonical sort (stable LSD radix over packed keys when every minute fits
+/// 31 bits — always true for generator output — comparison sort
 /// otherwise), and single-pass window build, all serial: the shard itself
-/// is the unit of parallelism. When the input holds a contiguous range of
-/// the VIP address space, concatenating shard slices in address order
-/// reproduces aggregate_windows' global output exactly.
+/// is the unit of parallelism. The radix sort is stable, so records must
+/// arrive in arrival order; it stands in for the arrival-index tie-break.
+/// When every shard holds a contiguous range of the canonical key order,
+/// concatenating the slices in key order reproduces the global output
+/// exactly.
 [[nodiscard]] ShardWindows aggregate_shard(std::vector<FlowRecord> records,
                                            const PrefixSet& cloud_space,
                                            const PrefixSet* blacklist = nullptr);
+
+/// How many shards the sharded aggregation cuts its input into: 64 per pool
+/// worker, or 256 when spilling, where shards are also the unit of
+/// out-of-core progress; a serial run counts as one worker. Shards are the
+/// unit of transient memory too — each holds its raw records until its
+/// columns are encoded — so the in-flight transient stays a small fraction
+/// of the input for any worker count.
+[[nodiscard]] std::size_t shard_count_for(const exec::ThreadPool* pool,
+                                          bool spill) noexcept;
+
+/// The one shard merge of the sharded aggregation: runs `run_shard(lo, hi)`
+/// on the pool over `shards` contiguous ranges of [0, n) and concatenates
+/// the slices in range order — window record ranges rebased to global
+/// offsets, unclassified counts summed. Each slice must cover a contiguous
+/// range of the canonical key order. Resident, every slice is held until one
+/// exact-size concatenation; with a non-null enabled `spill`, shards run in
+/// waves of two per worker and each wave's columns stream through a
+/// SpillWriter as it lands. The decoded trace is identical either way.
+[[nodiscard]] WindowedTrace merge_shards(
+    exec::ThreadPool* pool, std::size_t n, std::size_t shards,
+    const std::function<ShardWindows(std::size_t, std::size_t)>& run_shard,
+    const SpillConfig* spill);
 
 }  // namespace dm::netflow

@@ -161,29 +161,15 @@ FusedTrace generate_windows(const Scenario& scenario, exec::ThreadPool* pool) {
   }
 
   // Per-shard fused pass: generate → aggregate → encode, never keeping the
-  // unsorted records beyond the shard. The shard count is fixed at 64 per
-  // worker (vs the skeletons' default 4, and still ≥ 64 when serial):
-  // shards are also the unit of transient memory — a shard's raw, sorted,
-  // and key arrays all live until its columnar slice is encoded, and with
-  // W workers W shards are in flight at once, so the in-flight transient
-  // is ~(record bytes / multiplier) for any worker count — ~100 MiB at
-  // paper scale. Small shards only work because the mmap threshold is
-  // pinned (above): with glibc's adaptive threshold the per-shard scratch
-  // would be retained in every worker's arena instead of returned.
-  struct Shard {
-    netflow::ShardWindows agg;
-    std::uint64_t generated = 0;
-  };
-  const std::size_t workers =
-      pool == nullptr ? 0 : static_cast<std::size_t>(pool->thread_count());
-  // In spill mode shards are also the unit of out-of-core progress (each
-  // completed shard can be sealed to disk), so a finer floor keeps the
-  // in-flight raw-record transient small relative to the RAM budget.
-  const std::size_t shard_floor = config.spill.enabled() ? 256 : 64;
+  // unsorted records beyond the shard. Shards are the unit of transient
+  // memory (shard_count_for): a shard's raw, sorted, and key arrays all live
+  // until its columnar slice is encoded. Small shards only work because the
+  // mmap threshold is pinned (above): with glibc's adaptive threshold the
+  // per-shard scratch would be retained in every worker's arena instead of
+  // returned.
   const std::size_t shard_count = std::min(
-      vip_count, std::max<std::size_t>(shard_floor, shard_floor * workers));
+      vip_count, netflow::shard_count_for(pool, config.spill.enabled()));
   const auto run_shard = [&](std::size_t lo, std::size_t hi) {
-        Shard shard;
         std::vector<netflow::FlowRecord> records;
         // Shards are near-equal VIP slices, so the previous shard's record
         // count (per worker thread) is a tight reserve hint that skips the
@@ -211,100 +197,15 @@ FusedTrace generate_windows(const Scenario& scenario, exec::ThreadPool* pool) {
             }
           }
         }
-        shard.generated = records.size();
         reserve_hint = records.size();
-        shard.agg =
-            netflow::aggregate_shard(std::move(records), cloud_space, blacklist);
-        return shard;
+        return netflow::aggregate_shard(std::move(records), cloud_space,
+                                        blacklist);
       };
-
-  if (config.spill.enabled()) {
-    // Out-of-core merge: shards are consumed in index order as their wave
-    // completes — rebase windows against the running record count, hand the
-    // columnar slice to the SpillWriter (which seals segments per policy),
-    // and never hold more than one wave of shards. The consumed sequence is
-    // identical to the barrier path below, so the decoded trace is too.
-    netflow::SpillWriter writer(config.spill);
-    std::vector<netflow::VipMinuteStats> windows;
-    // Reserve the exact ceiling (one window per VIP-minute-direction) up
-    // front: the count isn't known until the last shard lands, and letting
-    // the vector grow geometrically would briefly hold old + new copies —
-    // a 2x transient on what is the largest resident array of a spilled
-    // run. The reservation is virtual; only touched pages cost RSS.
-    windows.reserve(2 * static_cast<std::size_t>(vip_count) *
-                    static_cast<std::size_t>(config.total_minutes()));
-    std::uint64_t unclassified = 0;
-    const std::size_t wave = 2 * std::max<std::size_t>(workers, 1);
-    std::size_t consumed = 0;
-    exec::parallel_map_waves_n<Shard>(
-        pool, vip_count, shard_count, wave, run_shard,
-        [&](std::size_t, Shard&& s) {
-          const auto base = static_cast<std::uint32_t>(writer.records_so_far());
-          // Copy straight into place and patch the two index fields while
-          // the destination line is still hot — one touch per ~184-byte
-          // struct instead of a copy pass plus a patch pass.
-          for (const netflow::VipMinuteStats& w : s.agg.windows) {
-            windows.push_back(w);
-            netflow::VipMinuteStats& back = windows.back();
-            back.first_record += base;
-            back.last_record += base;
-          }
-          writer.append(std::move(s.agg.columns));
-          unclassified += s.agg.unclassified;
-          result.generated_records += s.generated;
-          s.agg = netflow::ShardWindows();
-          if (++consumed % 64 == 0) util::release_free_heap();
-        });
-    util::release_free_heap();
-    result.windowed = netflow::WindowedTrace(std::move(writer).finish(),
-                                             std::move(windows), unclassified);
-    return result;
-  }
-
-  std::vector<Shard> shards = exec::parallel_map_chunks_n<Shard>(
-      pool, vip_count, shard_count, run_shard);
-
-  // Index-ordered concatenation of the compressed shard slices; only the
-  // window record-index ranges need rebasing from shard-local to global
-  // offsets. The destination buffers are reserved to the exact summed size
-  // so the appends never over-allocate.
-  std::size_t total_windows = 0;
-  netflow::ColumnarRecords::BufferSizes total_bytes;
-  for (const Shard& s : shards) {
-    total_windows += s.agg.windows.size();
-    const auto b = s.agg.columns.buffer_sizes();
-    total_bytes.header_bytes += b.header_bytes + 20;  // re-encoded first header
-    total_bytes.payload_bytes += b.payload_bytes;
-    total_bytes.runs += b.runs;
-    total_bytes.checkpoints += b.checkpoints;
-  }
-  netflow::ColumnarRecords columns;
-  columns.reserve(total_bytes);
-  std::vector<netflow::VipMinuteStats> windows;
-  windows.reserve(total_windows);
-  std::uint64_t unclassified = 0;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    Shard& s = shards[i];
-    const auto base = static_cast<std::uint32_t>(columns.size());
-    for (const netflow::VipMinuteStats& w : s.agg.windows) {
-      windows.push_back(w);
-      netflow::VipMinuteStats& back = windows.back();
-      back.first_record += base;
-      back.last_record += base;
-    }
-    columns.append(std::move(s.agg.columns));
-    unclassified += s.agg.unclassified;
-    result.generated_records += s.generated;
-    // Release each consumed slice immediately so the merge's transient
-    // footprint shrinks as it walks the shards; trim periodically so pages
-    // the worker arenas retain for the freed slices actually leave the
-    // process instead of stacking under the growing merged copy.
-    s.agg = netflow::ShardWindows();
-    if ((i + 1) % 64 == 0) util::release_free_heap();
-  }
-  util::release_free_heap();
-  result.windowed = netflow::WindowedTrace(std::move(columns),
-                                           std::move(windows), unclassified);
+  result.windowed = netflow::merge_shards(pool, vip_count, shard_count,
+                                          run_shard, &config.spill);
+  // aggregate_shard either keeps or drops (and counts) every record.
+  result.generated_records =
+      result.windowed.record_count() + result.windowed.unclassified_records();
   return result;
 }
 

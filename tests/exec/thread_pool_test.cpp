@@ -180,26 +180,6 @@ TEST(ParallelExec, ParallelForPropagatesException) {
                std::runtime_error);
 }
 
-TEST(ParallelExec, ParallelSortMatchesSerialSort) {
-  std::vector<std::uint64_t> base(20'000);
-  std::uint64_t x = 88172645463325252ULL;  // xorshift64
-  for (auto& v : base) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    v = x % 5000;  // plenty of duplicates
-  }
-  auto expected = base;
-  std::sort(expected.begin(), expected.end());
-  for (unsigned threads : {0u, 1u, 2u, 5u}) {
-    ThreadPool pool(threads);
-    auto v = base;
-    parallel_sort(&pool, v,
-                  [](std::uint64_t a, std::uint64_t b) { return a < b; });
-    EXPECT_EQ(v, expected) << "threads=" << threads;
-  }
-}
-
 TEST(ParallelExec, NullPoolRunsSerially) {
   std::vector<int> order;
   parallel_for(nullptr, 50,

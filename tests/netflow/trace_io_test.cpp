@@ -208,6 +208,88 @@ TEST(TraceIo, HugeRecordCountIsRejectedBeforeAllocating) {
   EXPECT_EQ(strict_read_error(bytes), FrameError::Kind::kOversized);
 }
 
+TEST(TraceIo, ReadAllAfterNextReturnsTheRestSizedExactly) {
+  const auto records = sample_records(3 * 4096 + 100);
+  const auto bytes = trace_bytes(records);
+  for (const std::size_t taken :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4095}, std::size_t{4096},
+        std::size_t{5000}, records.size()}) {
+    SCOPED_TRACE(taken);
+    std::stringstream in(std::string(bytes.begin(), bytes.end()));
+    TraceReader reader(in);
+    FlowRecord r;
+    for (std::size_t i = 0; i < taken; ++i) {
+      ASSERT_TRUE(reader.next(r));
+      ASSERT_EQ(r, records[i]);
+    }
+    const std::vector<FlowRecord> rest = reader.read_all();
+    EXPECT_EQ(rest, std::vector<FlowRecord>(
+                        records.begin() + static_cast<std::ptrdiff_t>(taken),
+                        records.end()));
+    EXPECT_EQ(rest.capacity(), rest.size());
+    EXPECT_FALSE(reader.next(r));
+    EXPECT_TRUE(reader.read_all().empty());
+    EXPECT_TRUE(reader.report().end_marker_seen);
+    EXPECT_EQ(reader.report().records_recovered, records.size());
+    EXPECT_EQ(reader.report().blocks_decoded, 4u);
+  }
+}
+
+TEST(TraceIo, ReadAllAfterNextLocatesDamage) {
+  const auto records = sample_records(3 * 4096 + 100);
+  auto bytes = trace_bytes(records);
+  const auto layout = trace_layout(bytes);
+  bytes[layout[2].payload_offset + 7] ^= 0x10;
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  TraceReader reader(in);
+  FlowRecord r;
+  for (std::size_t i = 0; i < 5000; ++i) ASSERT_TRUE(reader.next(r));
+  try {
+    (void)reader.read_all();
+    FAIL() << "a damaged block must throw";
+  } catch (const FrameError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.kind(), FrameError::Kind::kCrcMismatch);
+    EXPECT_NE(what.find("block 2 at byte " + std::to_string(layout[2].offset)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(TraceIo, ReadAllAndNextWordDamageAlike) {
+  const auto records = sample_records(2 * 4096);
+  const auto good = trace_bytes(records);
+  const auto layout = trace_layout(good);
+  std::vector<std::vector<std::uint8_t>> damaged;
+  damaged.emplace_back(good.begin(), good.end() - 1);  // no end marker
+  damaged.emplace_back(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(
+                                                      layout[1].payload_offset + 9));
+  damaged.emplace_back(good.begin(), good.end() - 3);  // cut inside the CRC
+  damaged.push_back(good);
+  damaged.back()[layout[1].payload_offset + 3] ^= 0x01;
+  damaged.push_back(good);
+  damaged.back()[layout[1].offset] = 0xff;  // count varint runs on
+  for (const auto& bytes : damaged) {
+    const auto verdict = [&](bool all) {
+      std::stringstream in(std::string(bytes.begin(), bytes.end()));
+      TraceReader reader(in);
+      try {
+        if (all) {
+          (void)reader.read_all();
+        } else {
+          FlowRecord r;
+          while (reader.next(r)) {
+          }
+        }
+      } catch (const FrameError& e) {
+        return std::make_pair(e.kind(), std::string(e.what()));
+      }
+      return std::make_pair(FrameError::Kind::kTrailingBytes, std::string("no error"));
+    };
+    EXPECT_EQ(verdict(true), verdict(false));
+  }
+}
+
 // Property: round trip across block boundaries (block size is 4096 records).
 class TraceIoSizes : public ::testing::TestWithParam<std::size_t> {};
 

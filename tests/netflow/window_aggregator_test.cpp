@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 
+#include "exec/thread_pool.h"
 #include "util/rng.h"
 
 namespace dm::netflow {
@@ -302,7 +308,11 @@ auto counters(const VipMinuteStats& w) {
 /// Random records over a few VIPs and minutes covering every protocol, all
 /// 64 flag combinations, the service and DNS ports, both directions, and a
 /// small remote pool (so remotes repeat) of which a quarter is blacklisted.
-std::vector<FlowRecord> kernel_records(std::uint64_t seed, PrefixSet& blacklist) {
+/// `count` records over `vips` VIPs from kVip up and minutes [0, minutes).
+std::vector<FlowRecord> kernel_records(std::uint64_t seed, PrefixSet& blacklist,
+                                       std::size_t count = 20'000,
+                                       std::uint32_t vips = 3,
+                                       util::Minute minutes = 20) {
   util::Rng rng(seed);
   constexpr Protocol kProtocols[] = {Protocol::kTcp, Protocol::kUdp,
                                      Protocol::kIcmp, Protocol::kIpEncap};
@@ -317,12 +327,13 @@ std::vector<FlowRecord> kernel_records(std::uint64_t seed, PrefixSet& blacklist)
     return rng.chance(0.8) ? kPorts[rng.below(std::size(kPorts))]
                            : static_cast<std::uint16_t>(rng.below(65536));
   };
-  std::vector<FlowRecord> records(20'000);
+  std::vector<FlowRecord> records(count);
   for (FlowRecord& r : records) {
-    const IPv4 vip(kVip.value() + static_cast<std::uint32_t>(rng.below(3)));
+    const IPv4 vip(kVip.value() + static_cast<std::uint32_t>(rng.below(vips)));
     const IPv4 remote = pool[rng.below(pool.size())];
     const bool inbound = rng.chance(0.5);
-    r.minute = static_cast<util::Minute>(rng.below(20));
+    r.minute = static_cast<util::Minute>(
+        rng.below(static_cast<std::uint64_t>(minutes)));
     r.src_ip = inbound ? remote : vip;
     r.dst_ip = inbound ? vip : remote;
     r.src_port = port();
@@ -385,6 +396,192 @@ TEST(AccumulateKernel, BatchWindowsMatchReferenceSwitch) {
     const WindowKey key{w.vip.value(), static_cast<int>(w.direction), w.minute};
     EXPECT_EQ(counters(w), counters(reference.at(key).stats));
   }
+}
+
+// ---- An independent reference for the sharded aggregate ------------------
+
+/// The comparison-sort aggregate the sharded core replaced, kept apart from
+/// it: classify, std::sort on (vip, direction, signed minute, remote,
+/// arrival index), then a record-wise window build through ReferenceWindow.
+struct ReferenceTrace {
+  std::vector<FlowRecord> records;
+  std::vector<Direction> directions;
+  std::vector<VipMinuteStats> windows;
+  std::uint64_t unclassified = 0;
+};
+
+ReferenceTrace reference_aggregate(const std::vector<FlowRecord>& input,
+                                   const PrefixSet& space,
+                                   const PrefixSet& blacklist) {
+  struct SortKey {
+    std::uint32_t vip;
+    int direction;
+    util::Minute minute;
+    std::uint32_t remote;
+    std::size_t arrival;
+  };
+  ReferenceTrace out;
+  std::vector<SortKey> keys;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const auto dir = classify(input[i], space);
+    if (!dir) {
+      ++out.unclassified;
+      continue;
+    }
+    const OrientedFlow flow{&input[i], *dir};
+    keys.push_back({flow.vip().value(), static_cast<int>(*dir),
+                    input[i].minute, flow.remote_ip().value(), i});
+  }
+  std::sort(keys.begin(), keys.end(), [](const SortKey& a, const SortKey& b) {
+    return std::tie(a.vip, a.direction, a.minute, a.remote, a.arrival) <
+           std::tie(b.vip, b.direction, b.minute, b.remote, b.arrival);
+  });
+  std::optional<ReferenceWindow> open;
+  for (const SortKey& k : keys) {
+    const auto dir = static_cast<Direction>(k.direction);
+    if (!open || open->stats.vip.value() != k.vip ||
+        open->stats.direction != dir || open->stats.minute != k.minute) {
+      if (open) out.windows.push_back(open->stats);
+      open.emplace();
+      open->stats.vip = IPv4(k.vip);
+      open->stats.direction = dir;
+      open->stats.minute = k.minute;
+      open->stats.first_record = static_cast<std::uint32_t>(out.records.size());
+    }
+    open->add(input[k.arrival], dir, blacklist);
+    out.records.push_back(input[k.arrival]);
+    out.directions.push_back(dir);
+    open->stats.last_record = static_cast<std::uint32_t>(out.records.size());
+  }
+  if (open) out.windows.push_back(open->stats);
+  return out;
+}
+
+/// Every field of a window: identity, record span and counters.
+auto every_field(const VipMinuteStats& w) {
+  return std::tuple_cat(std::make_tuple(w.vip.value(), w.minute, w.direction,
+                                        w.first_record, w.last_record),
+                        counters(w));
+}
+
+/// aggregate_windows matches the reference on records, directions, every
+/// window field and the unclassified count: serially and on pools of
+/// 0/1/2/3/8 workers. A given `spill` must hold more than its seal
+/// threshold, so the trace comes back spilled.
+void expect_matches_reference(const std::vector<FlowRecord>& input,
+                              const PrefixSet& blacklist,
+                              const SpillConfig* spill = nullptr) {
+  const PrefixSet space = cloud_space();
+  const ReferenceTrace want = reference_aggregate(input, space, blacklist);
+  std::vector<std::unique_ptr<exec::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const unsigned workers : {0u, 1u, 2u, 3u, 8u}) {
+    pools.push_back(std::make_unique<exec::ThreadPool>(workers));
+  }
+  for (const auto& pool : pools) {
+    SCOPED_TRACE(pool ? std::to_string(pool->thread_count()) + " workers"
+                      : std::string("no pool"));
+    const WindowedTrace got =
+        aggregate_windows(input, space, &blacklist, pool.get(), spill);
+    EXPECT_EQ(got.unclassified_records(), want.unclassified);
+    EXPECT_EQ(got.store().spilled(), spill != nullptr);
+    ASSERT_EQ(got.record_count(), want.records.size());
+    const auto records = got.records();
+    std::size_t i = 0;
+    for (auto it = records.begin(); it != records.end(); ++it, ++i) {
+      ASSERT_EQ(*it, want.records[i]) << "record " << i;
+      ASSERT_EQ(it.direction(), want.directions[i]) << "record " << i;
+    }
+    ASSERT_EQ(got.windows().size(), want.windows.size());
+    for (std::size_t w = 0; w < want.windows.size(); ++w) {
+      ASSERT_EQ(every_field(got.windows()[w]), every_field(want.windows[w]))
+          << "window " << w;
+    }
+  }
+}
+
+/// kernel_records with about 5% of them made unclassifiable: remote to
+/// remote, or cloud to cloud.
+std::vector<FlowRecord> mixed_records(std::uint64_t seed, std::size_t count,
+                                      std::uint32_t vips, util::Minute minutes,
+                                      PrefixSet& blacklist) {
+  std::vector<FlowRecord> records =
+      kernel_records(seed, blacklist, count, vips, minutes);
+  util::Rng rng(seed + 100);
+  for (FlowRecord& r : records) {
+    if (!rng.chance(0.05)) continue;
+    if (rng.chance(0.5)) {
+      r.dst_ip = r.src_ip = kRemoteA;
+    } else {
+      r.src_ip = kVip;
+      r.dst_ip = kVip2;
+    }
+  }
+  return records;
+}
+
+TEST(AggregateReference, RandomMixesWithUnclassifiableRecords) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    PrefixSet blacklist;
+    expect_matches_reference(mixed_records(seed, 20'000, 12, 30, blacklist),
+                             blacklist);
+  }
+}
+
+TEST(AggregateReference, MinutesOutsideThePackedRange) {
+  PrefixSet blacklist;
+  std::vector<FlowRecord> records = mixed_records(21, 6'000, 8, 5, blacklist);
+  constexpr util::Minute kExtremes[] = {
+      -5, -1, (util::Minute{1} << 31) - 1, util::Minute{1} << 31,
+      util::Minute{1} << 40, INT64_MIN, INT64_MAX, INT64_MIN + 1};
+  for (std::size_t i = 0; i < records.size(); i += 3) {
+    records[i].minute = kExtremes[(i / 3) % std::size(kExtremes)];
+  }
+  expect_matches_reference(records, blacklist);
+}
+
+TEST(AggregateReference, ManyVipsPerShard) {
+  // 5000 VIPs in at most 512 shards: a serial run's 64 shards hold ~78
+  // VIPs each, past the 32 the packed u32 sort key can rank.
+  PrefixSet blacklist;
+  expect_matches_reference(mixed_records(31, 10'000, 5000, 3, blacklist),
+                           blacklist);
+}
+
+TEST(AggregateReference, OneVipCarriesMostTraffic) {
+  PrefixSet blacklist;
+  std::vector<FlowRecord> records = mixed_records(41, 30'000, 40, 200, blacklist);
+  const PrefixSet space = cloud_space();
+  util::Rng rng(42);
+  for (FlowRecord& r : records) {
+    const auto dir = classify(r, space);
+    if (!dir || !rng.chance(0.9)) continue;
+    (*dir == Direction::kInbound ? r.dst_ip : r.src_ip) = kVip;
+  }
+  expect_matches_reference(records, blacklist);
+}
+
+TEST(AggregateReference, EmptySingleAndAllUnclassifiable) {
+  PrefixSet blacklist;
+  expect_matches_reference({}, blacklist);
+  expect_matches_reference({flow(3, kRemoteA, kVip, 1000, 80)}, blacklist);
+  std::vector<FlowRecord> transit(500, flow(1, kRemoteA, kRemoteB, 1, 2));
+  transit.push_back(flow(2, kVip, kVip2, 1, 2));
+  expect_matches_reference(transit, blacklist);
+}
+
+TEST(AggregateReference, SpilledAtOneMebibyte) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "dm_aggregate_reference_spill";
+  SpillConfig spill;
+  spill.directory = dir.string();
+  spill.ram_budget_bytes = 1ull << 20;
+  PrefixSet blacklist;
+  // ~14 encoded bytes a record: several 1 MiB segments.
+  expect_matches_reference(mixed_records(51, 250'000, 60, 400, blacklist),
+                           blacklist, &spill);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DistinctRemotes, ReportsFreshClassesOnce) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the parallel pipeline: build the test suite under
 # ThreadSanitizer and run the concurrency-sensitive tests — the exec pool
-# unit tests, the sharded-aggregation property tests, the
+# unit tests, the sharded-aggregation suites (aggregate_windows classifies,
+# scatters and aggregates its key-range shards on pool threads), the
 # serial-equivalence integration tests, and the serve supervisor suites
 # whose shard runs ingest on pool threads — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
@@ -11,8 +12,9 @@
 #   1. dmlint self-scan against the committed baseline (skip: DM_LINT=0)
 #   2. clang-tidy over src/exec, src/netflow, src/detect (runs only when a
 #      clang-tidy binary is available)
-#   3. TSan build + concurrency suites (exec pool, sharded aggregation,
-#      serial equivalence, Supervisor pipelined shard ingest, and the
+#   3. TSan build + concurrency suites (exec pool, sharded aggregation and
+#      its reference suites, serial equivalence, Supervisor pipelined shard
+#      ingest, and the
 #      crash matrix's MidGenerationAndRepeatedKillPoints case; the full
 #      RotationCrashMatrix runs in the DM_SERVE ASan stage)
 #   4. ASan+UBSan build + codec suites (columnar store, frame codec with
@@ -25,6 +27,9 @@
 #   7. DM_BENCH_JSON=1: refresh BENCH_pipeline.json (Release)
 #   8. DM_BENCH_GATE=1: per-stage items/s regression gate vs the committed
 #      BENCH_pipeline.json (tools/bench_gate.sh)
+#   9. DM_PERFBENCH=1: build perfbench and perfbench_tests, run the tests,
+#      and one 1-second pass of every workload, which must report
+#      "correct": true and "failed": 0
 #
 # Usage: tools/check.sh [extra ctest -R regex]
 set -euo pipefail
@@ -32,7 +37,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
-FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Supervisor|MidGenerationAndRepeatedKillPoints}"
+FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Aggregate|Supervisor|MidGenerationAndRepeatedKillPoints}"
 ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
@@ -156,4 +161,27 @@ fi
 # stale baseline catches real regressions).
 if [[ "${DM_BENCH_GATE:-0}" != "0" ]]; then
   "$ROOT/tools/bench_gate.sh"
+fi
+
+# Optional production-benchmark stage: builds the perfbench program and the
+# tests of its own logic from perfbench/CMakeLists.txt (into the build
+# directory perfbench/run.py uses), runs the tests, then one 1-second pass
+# of every workload through run.py, which fails unless each reports
+# "correct": true and "failed": 0. A src change that breaks the benchmark's
+# build or its oracle then fails here. Enable with DM_PERFBENCH=1.
+if [[ "${DM_PERFBENCH:-0}" != "0" ]]; then
+  PERFBENCH_BUILD="$ROOT/.bench_build/perfbench"
+  cmake -S "$ROOT/perfbench" -B "$PERFBENCH_BUILD" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$PERFBENCH_BUILD" -j"$(nproc)" --target perfbench perfbench_tests
+  "$PERFBENCH_BUILD/perfbench_tests"
+  for workload in batch-detect stream-replay serve-fleet; do
+    result="$(cd "$ROOT" && python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 1 | tail -n 1)"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+      echo "check.sh: perfbench $workload failed: $result" >&2
+      exit 1
+    fi
+  done
 fi

@@ -236,9 +236,12 @@ int cmd_detect(const Args& args) {
   spill.ram_budget_bytes = static_cast<std::uint64_t>(option_number(
       args, "--ram-budget",
       static_cast<long long>(spill.ram_budget_bytes)));
+  // Aggregation and detection run on the pool; the output does not depend
+  // on its size.
+  exec::ThreadPool pool(exec::workers_for(0));
   const auto trace = netflow::aggregate_windows(std::move(records), space,
-                                                nullptr, nullptr, &spill);
-  const auto result = detect::DetectionPipeline{}.run(trace);
+                                                nullptr, &pool, &spill);
+  const auto result = detect::DetectionPipeline{}.run(trace, &pool);
   print_incidents(result.incidents, sampling);
   std::printf("%zu incidents from %zu windows (%llu unattributable records)\n",
               result.incidents.size(), trace.windows().size(),
