@@ -100,16 +100,21 @@ BENCHMARK(BM_VarintDecode)
 
 // Full-store decode: the scalar Cursor (block:0) vs the SoA BlockCursor
 // (block:1) over the same aggregated canonical store — the codec-level view
-// of the tentpole win, on real run-length/delta-encoded data.
+// of the block pipeline, on real run-length/delta-encoded data. Both drive
+// the ColumnarRecords decoders directly: block:1 enters the BlockCursor
+// through reset(view, n) exactly as build_windows_blocks does, block:0 runs
+// the Cursor that seek(view, 0) returns.
 void BM_BlockDecode(benchmark::State& state) {
   const bool block_mode = state.range(0) != 0;
-  const netflow::RecordStore& store = perf_windows().store();
-  const std::size_t n = store.size();
+  const netflow::ColumnarView view =
+      perf_windows().store().resident().view();
+  const std::size_t n = view.records;
 
   for (auto _ : state) {
     std::uint64_t acc = 0;
     if (block_mode) {
-      netflow::RecordStore::BlockCursor cursor = store.block_cursor_at(0);
+      netflow::ColumnarRecords::BlockCursor cursor;
+      cursor.reset(view, n);
       netflow::DecodedBlock block;
       while (cursor.next(block)) {
         for (std::size_t i = 0; i < block.count; ++i) {
@@ -117,7 +122,8 @@ void BM_BlockDecode(benchmark::State& state) {
         }
       }
     } else {
-      netflow::RecordStore::Cursor cursor = store.cursor_at(0);
+      netflow::ColumnarRecords::Cursor cursor =
+          netflow::ColumnarRecords::seek(view, 0);
       while (cursor.next()) {
         const netflow::FlowRecord& r = cursor.record();
         const netflow::OrientedFlow f{&r, cursor.direction()};
@@ -399,7 +405,6 @@ void BM_StudyLongitudinal(benchmark::State& state) {
             .string();
     std::filesystem::remove_all(spill_dir);
     config.spill.directory = spill_dir;
-    config.spill.segment_bytes = 64ull << 20;
     config.spill.ram_budget_bytes = 256ull << 20;
   }
 

@@ -50,9 +50,6 @@ struct ServiceProfile {
   double mean_packet_bytes = 0.0;
   /// Fraction of inbound volume echoed back outbound (responses).
   double response_ratio = 0.0;
-
-  /// A listening port (the first, or a uniformly drawn one of two).
-  [[nodiscard]] std::uint16_t primary_port() const noexcept { return ports[0]; }
 };
 
 /// The canonical profile for a service type.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace dm::cloud {
 

@@ -16,7 +16,6 @@
 #include "cloud/as_registry.h"
 #include "cloud/service.h"
 #include "netflow/ipv4.h"
-#include "util/rng.h"
 #include "util/time.h"
 
 namespace dm::cloud {
@@ -94,11 +93,6 @@ class VipRegistry {
   }
 
   [[nodiscard]] const VipInfo* lookup(netflow::IPv4 ip) const noexcept;
-
-  /// Uniformly random VIP.
-  [[nodiscard]] const VipInfo& random_vip(util::Rng& rng) const noexcept {
-    return vips_[static_cast<std::size_t>(rng.below(vips_.size()))];
-  }
 
   /// Indices of VIPs hosting a service.
   [[nodiscard]] std::vector<std::uint32_t> with_service(ServiceType s) const;

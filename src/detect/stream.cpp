@@ -245,14 +245,6 @@ void StreamMonitor::finish() {
   emit(closed);
 }
 
-std::size_t StreamMonitor::open_window_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [minute, series_map] : open_minutes_) {
-    total += series_map.size();
-  }
-  return total;
-}
-
 std::uint64_t StreamMonitor::approx_state_bytes() const noexcept {
   // Entry sizes plus table and list payloads: a stable gauge of the state
   // the checkpoint would serialize, cheap enough to walk once per

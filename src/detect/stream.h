@@ -130,8 +130,6 @@ class StreamMonitor {
 
   // State-size gauges — what a supervisor's admission controller consults
   // when enforcing per-tenant memory budgets.
-  /// Open (minute, series) windows currently under accumulation.
-  [[nodiscard]] std::size_t open_window_count() const noexcept;
   /// Per-series detector banks retained (grows with distinct VIPs seen).
   [[nodiscard]] std::size_t series_count() const noexcept {
     return detectors_.size();

@@ -127,18 +127,6 @@ template <typename T, typename Map>
   return results;
 }
 
-/// Map-reduce with an ordered merge: map(i) -> T runs in parallel, then
-/// reduce(acc, T&&) folds the results serially in index order — so the
-/// reduction sees the same sequence no matter how many threads mapped.
-template <typename Acc, typename T, typename Map, typename Reduce>
-[[nodiscard]] Acc parallel_map_reduce(ThreadPool* pool, std::size_t n, Acc init,
-                                      Map&& map, Reduce&& reduce) {
-  std::vector<T> results = parallel_map<T>(pool, n, std::forward<Map>(map));
-  Acc acc = std::move(init);
-  for (T& r : results) acc = reduce(std::move(acc), std::move(r));
-  return acc;
-}
-
 /// Concatenates per-chunk vectors (in chunk order) into one vector — the
 /// ordered merge used by every record-emitting stage.
 template <typename T>

@@ -35,13 +35,6 @@ struct IncidentOutcome {
   std::uint64_t attack_packets = 0;    ///< total sampled attack packets
   std::uint64_t absorbed_packets = 0;  ///< removed by mitigations
   util::Minute time_to_mitigate = -1;  ///< first effective minute - start; -1 = never
-
-  [[nodiscard]] double residual_fraction() const noexcept {
-    return attack_packets == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(absorbed_packets) /
-                           static_cast<double>(attack_packets);
-  }
 };
 
 /// Aggregate effectiveness report.

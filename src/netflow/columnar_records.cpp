@@ -198,27 +198,4 @@ ColumnarRecords::Cursor ColumnarRecords::seek(
   return c;
 }
 
-ColumnarRecords::Cursor ColumnarRecords::cursor_at(
-    std::size_t record_index) const noexcept {
-  return seek(view(), record_index);
-}
-
-ColumnarRecords::Range ColumnarRecords::range(std::size_t first,
-                                              std::size_t last) const noexcept {
-  Cursor c = cursor_at(first);
-  c.limit_ = last;
-  return Range(c, last - first);
-}
-
-ColumnarRecords::Range ColumnarRecords::all() const noexcept {
-  return range(0, size_);
-}
-
-Direction ColumnarRecords::direction_of(
-    std::size_t record_index) const noexcept {
-  Cursor c = cursor_at(record_index);
-  c.next();
-  return c.direction();
-}
-
 }  // namespace dm::netflow

@@ -30,12 +30,15 @@
 // (the internal buffer layout may differ — e.g. checkpoint spacing — which
 // is why equivalence is defined on decoded records, windows, and exhibit
 // outputs, all locked down by tests).
+//
+// This file is the codec: the encoder, the borrowed view, seek(), and the
+// two decoders (Cursor, BlockCursor). Decoded-record ranges over a whole
+// trace — resident or spilled — are RecordStore's (segment_store.h).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 #include "netflow/flow_record.h"
@@ -109,7 +112,6 @@ class ColumnarRecords {
  public:
   class Cursor;
   class BlockCursor;
-  class Range;
 
   ColumnarRecords() = default;
 
@@ -152,23 +154,6 @@ class ColumnarRecords {
   /// seek index) — the bench's encoded-bytes/record numerator.
   [[nodiscard]] std::uint64_t encoded_bytes() const noexcept;
 
-  /// Cursor positioned before `record_index` (pass size() for an exhausted
-  /// cursor). Seek cost: two binary searches plus at most
-  /// kCheckpointRuns - 1 header decodes (a checkpoint captures the decode
-  /// state just *past* its own run's header, so only the runs after it, up
-  /// to the next checkpoint, are re-decoded; append() preserves the <= 64
-  /// run spacing) plus a skip-decode of earlier records in the same run —
-  /// O(1) when the index is a run start, as every window's first_record is.
-  [[nodiscard]] Cursor cursor_at(std::size_t record_index) const noexcept;
-
-  /// Decoded view of records [first, last).
-  [[nodiscard]] Range range(std::size_t first, std::size_t last) const noexcept;
-  [[nodiscard]] Range all() const noexcept;
-
-  /// Direction of record `record_index` (< size()). Costs a seek; iterate a
-  /// Range (whose iterator also exposes direction()) for bulk access.
-  [[nodiscard]] Direction direction_of(std::size_t record_index) const noexcept;
-
   /// Borrowed view of the encoded arrays — invalidated by any mutation
   /// (push_back/append/shrink_to_fit) exactly like vector iterators.
   [[nodiscard]] ColumnarView view() const noexcept {
@@ -179,15 +164,21 @@ class ColumnarRecords {
                         headers_.size(),      payload_.size()};
   }
 
-  /// View-based seek: cursor positioned before `record_index` of `view`
-  /// (pass view.records for an exhausted cursor). Same cost contract as
-  /// cursor_at(); this is the entry point segment cursors use.
+  /// Cursor positioned before `record_index` of `view` (pass view.records
+  /// for an exhausted cursor) — the one seek, for resident stores and
+  /// mapped segments alike. Seek cost: two binary searches plus at most
+  /// kCheckpointRuns - 1 header decodes (a checkpoint captures the decode
+  /// state just *past* its own run's header, so only the runs after it, up
+  /// to the next checkpoint, are re-decoded; append() preserves the <= 64
+  /// run spacing) plus a skip-decode of earlier records in the same run —
+  /// O(1) when the index is a run start, as every window's first_record is.
   [[nodiscard]] static Cursor seek(const ColumnarView& view,
                                    std::size_t record_index) noexcept;
 
   /// Streaming decoder. next() materializes one record at a time into
   /// internal storage — no allocation, the references stay valid until the
-  /// following next().
+  /// following next(). RecordStore's cursor decodes through it, and it is
+  /// BlockCursor's differential oracle.
   class Cursor {
    public:
     Cursor() = default;
@@ -218,9 +209,6 @@ class ColumnarRecords {
       remote_ = 0;
     }
 
-    /// True once next() has exhausted the bound range.
-    [[nodiscard]] bool done() const noexcept { return next_index_ >= limit_; }
-
     /// Tightens the decode limit to at most `limit` (view-local index).
     void clip(std::size_t limit) noexcept {
       if (limit < limit_) limit_ = limit;
@@ -228,7 +216,6 @@ class ColumnarRecords {
 
    private:
     friend class ColumnarRecords;
-    friend class BlockCursor;
 
     ColumnarView view_;
     std::size_t next_index_ = 0;  ///< record decoded by the next next()
@@ -253,30 +240,12 @@ class ColumnarRecords {
   /// otherwise). Cursor is the differential oracle: for any view and limit
   /// the concatenated blocks are byte-identical to the Cursor stream.
   ///
-  /// Checkpoint interaction: BlockCursor has no seek of its own — it adopts
-  /// a positioned Cursor (whose seek does the checkpoint walk) and streams
-  /// forward from there, so checkpoints bound block-pipeline seek cost
-  /// exactly as they bound Cursor's (see cursor_at()). A block may start
-  /// mid-run after such a seek; the carried remote delta state makes that
-  /// exact.
+  /// BlockCursor has no seek: it enters a store only through reset(), at
+  /// the store's first record — build_windows_blocks decodes whole shard
+  /// stores front to back. Seeks are Cursor's (seek()).
   class BlockCursor {
    public:
     BlockCursor() = default;
-
-    /// Adopts a positioned Cursor's decode state — the way consumers enter
-    /// a store mid-stream (e.g. via ColumnarRecords::seek / cursor_at).
-    /// The cursor must not have been advanced past its limit.
-    explicit BlockCursor(const Cursor& at) noexcept
-        : view_(at.view_),
-          next_index_(at.next_index_),
-          limit_(at.limit_),
-          run_(at.run_),
-          run_end_(at.run_end_),
-          header_pos_(at.header_pos_),
-          payload_pos_(at.payload_pos_),
-          key_(at.key_),
-          minute_(at.minute_),
-          remote_(at.remote_) {}
 
     /// Rewinds onto `view` at its first record, decoding at most `limit`
     /// records — same contract as Cursor::reset().
@@ -297,13 +266,6 @@ class ColumnarRecords {
     /// the bound range is exhausted.
     bool next(DecodedBlock& out) noexcept;
 
-    [[nodiscard]] bool done() const noexcept { return next_index_ >= limit_; }
-
-    /// Tightens the decode limit to at most `limit` (view-local index).
-    void clip(std::size_t limit) noexcept {
-      if (limit < limit_) limit_ = limit;
-    }
-
    private:
     ColumnarView view_;
     std::size_t next_index_ = 0;
@@ -315,82 +277,6 @@ class ColumnarRecords {
     std::uint64_t key_ = 0;
     std::uint64_t minute_ = 0;
     std::uint32_t remote_ = 0;
-  };
-
-  /// BlockCursor positioned before `record_index` — cursor_at()'s batch
-  /// counterpart, same seek cost contract.
-  [[nodiscard]] BlockCursor block_cursor_at(std::size_t record_index) const noexcept {
-    return BlockCursor(cursor_at(record_index));
-  }
-
-  /// Iterable decoded view; `for (const FlowRecord& r : range)` drops in
-  /// where a std::span<const FlowRecord> used to be. The iterator is a
-  /// single-pass input iterator (each begin() starts a fresh pass).
-  class Range {
-   public:
-    class iterator {
-     public:
-      using iterator_category = std::input_iterator_tag;
-      using value_type = FlowRecord;
-      using difference_type = std::ptrdiff_t;
-      using pointer = const FlowRecord*;
-      using reference = const FlowRecord&;
-
-      iterator() = default;
-
-      [[nodiscard]] reference operator*() const noexcept {
-        return cursor_.record();
-      }
-      [[nodiscard]] pointer operator->() const noexcept {
-        return &cursor_.record();
-      }
-      /// Orientation of the current record — the datum a parallel
-      /// std::vector<Direction> used to carry.
-      [[nodiscard]] Direction direction() const noexcept {
-        return cursor_.direction();
-      }
-      [[nodiscard]] std::size_t index() const noexcept {
-        return cursor_.index();
-      }
-
-      iterator& operator++() {
-        at_end_ = !cursor_.next();
-        return *this;
-      }
-      iterator operator++(int) {
-        iterator copy = *this;
-        ++*this;
-        return copy;
-      }
-
-      friend bool operator==(const iterator& a, const iterator& b) noexcept {
-        if (a.at_end_ || b.at_end_) return a.at_end_ == b.at_end_;
-        return a.cursor_.index() == b.cursor_.index();
-      }
-
-     private:
-      friend class Range;
-      explicit iterator(const Cursor& cursor) : cursor_(cursor) {
-        at_end_ = !cursor_.next();
-      }
-
-      Cursor cursor_;
-      bool at_end_ = true;
-    };
-
-    Range() = default;
-
-    [[nodiscard]] iterator begin() const noexcept { return iterator(first_); }
-    [[nodiscard]] iterator end() const noexcept { return iterator(); }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-   private:
-    friend class ColumnarRecords;
-    Range(const Cursor& first, std::size_t size) : first_(first), size_(size) {}
-
-    Cursor first_;  ///< unprimed cursor at the range start
-    std::size_t size_ = 0;
   };
 
  private:

@@ -27,6 +27,10 @@ constexpr std::uint16_t kVersion = 1;
 /// (segments seal at tens of MiB), so any header field past this is damage,
 /// and the cap keeps the expected-size arithmetic below overflow-free.
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 40;
+/// Seal-threshold bounds: segments smaller than the floor waste seek index
+/// and syscalls for no RSS benefit; the cap bounds one segment's mapping.
+constexpr std::uint64_t kMinSealBytes = 1ull << 20;
+constexpr std::uint64_t kMaxSealBytes = 64ull << 20;
 
 /// Section offsets within the body (relative to file offset
 /// kSegmentHeaderBytes, which is 8-aligned — so payload_offs/checkpoints stay
@@ -250,6 +254,20 @@ SegmentStore SegmentStore::open(const std::string& directory) {
   return store;
 }
 
+SegmentStore::SegmentStore(SegmentStore&& other) noexcept {
+  *this = std::move(other);
+}
+
+SegmentStore& SegmentStore::operator=(SegmentStore&& other) noexcept {
+  if (this == &other) return *this;
+  const std::scoped_lock lock(map_mu_, other.map_mu_);
+  segments_ = std::exchange(other.segments_, {});
+  total_records_ = std::exchange(other.total_records_, 0);
+  recent_map_.reset();
+  other.recent_map_.reset();
+  return *this;
+}
+
 std::pair<SegmentStore, SegmentStore::SalvageReport> SegmentStore::salvage(
     const std::string& directory) {
   SegmentStore store;
@@ -291,7 +309,13 @@ std::uint64_t SegmentStore::file_bytes() const noexcept {
 
 std::shared_ptr<const MappedSegment> SegmentStore::map_segment(
     std::size_t i) const {
-  return MappedSegment::map(segments_[i].path);
+  const std::lock_guard<std::mutex> lock(map_mu_);
+  if (recent_map_ == nullptr || recent_map_index_ != i) {
+    recent_map_.reset();  // unmap (unless a cursor holds it) before mapping
+    recent_map_ = MappedSegment::map(segments_[i].path);
+    recent_map_index_ = i;
+  }
+  return recent_map_;
 }
 
 std::size_t SegmentStore::segment_containing(
@@ -306,7 +330,7 @@ RecordStore::Cursor RecordStore::cursor_at(std::size_t record_index) const {
   Cursor c;
   c.limit_ = size();
   if (!spilled_) {
-    c.inner_ = resident_.cursor_at(record_index);
+    c.inner_ = ColumnarRecords::seek(resident_.view(), record_index);
     return c;
   }
   c.store_ = &segments_;
@@ -341,60 +365,6 @@ bool RecordStore::Cursor::advance_segment() {
   return false;
 }
 
-RecordStore::BlockCursor RecordStore::block_cursor_at(
-    std::size_t record_index) const {
-  BlockCursor c;
-  c.limit_ = size();
-  if (!spilled_) {
-    c.inner_ = resident_.block_cursor_at(record_index);
-    return c;
-  }
-  c.store_ = &segments_;
-  if (record_index >= c.limit_) {
-    c.next_segment_ = segments_.segment_count();
-    c.base_ = c.limit_;
-    return c;
-  }
-  const std::size_t s = segments_.segment_containing(record_index);
-  const SegmentStore::Segment& seg = segments_.segments()[s];
-  c.next_segment_ = s + 1;
-  c.base_ = static_cast<std::size_t>(seg.first_record);
-  c.mapped_ = segments_.map_segment(s);
-  c.inner_ = ColumnarRecords::BlockCursor(
-      ColumnarRecords::seek(c.mapped_->view(), record_index - c.base_));
-  return c;
-}
-
-bool RecordStore::BlockCursor::advance_segment(DecodedBlock& out) {
-  mapped_.reset();
-  if (store_ == nullptr) return false;
-  const std::vector<SegmentStore::Segment>& segs = store_->segments();
-  while (next_segment_ < segs.size() &&
-         segs[next_segment_].first_record < limit_) {
-    const SegmentStore::Segment& seg = segs[next_segment_];
-    base_ = static_cast<std::size_t>(seg.first_record);
-    mapped_ = store_->map_segment(next_segment_);
-    ++next_segment_;
-    inner_.reset(mapped_->view(), limit_ - base_);
-    if (inner_.next(out)) {
-      out.base_index += base_;
-      return true;
-    }
-    mapped_.reset();
-  }
-  return false;
-}
-
-RecordStore::BlockCursor RecordStore::blocks(std::size_t first,
-                                             std::size_t last) const {
-  if (last > size()) last = size();
-  if (first > last) first = last;
-  BlockCursor c = block_cursor_at(first);
-  c.limit_ = last;
-  if (last >= c.base_) c.inner_.clip(last - c.base_);
-  return c;
-}
-
 RecordStore::Range RecordStore::range(std::size_t first,
                                       std::size_t last) const {
   if (last > size()) last = size();
@@ -407,22 +377,17 @@ RecordStore::Range RecordStore::range(std::size_t first,
 
 RecordStore::Range RecordStore::all() const { return range(0, size()); }
 
-Direction RecordStore::direction_of(std::size_t record_index) const {
-  Cursor c = cursor_at(record_index);
-  c.next();
-  return c.direction();
-}
-
 SpillWriter::SpillWriter(const SpillConfig& config)
-    : config_(config), policy_(config) {
-  if (!config_.enabled()) {
+    : directory_(config.directory),
+      seal_bytes_(std::clamp(config.ram_budget_bytes / 2, kMinSealBytes,
+                             kMaxSealBytes)) {
+  if (!config.enabled()) {
     throw Error("SpillWriter: spill directory not configured");
   }
-  fs::create_directories(config_.directory);
+  fs::create_directories(directory_);
   // Stale segments from an earlier run in the same directory would be
   // picked up by open()/salvage(); start from a clean slate.
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(config_.directory)) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(directory_)) {
     if (entry.path().extension() == ".dmseg") fs::remove(entry.path());
   }
 }
@@ -430,26 +395,23 @@ SpillWriter::SpillWriter(const SpillConfig& config)
 void SpillWriter::append(ColumnarRecords&& shard) {
   // The window index space is 32-bit pipeline-wide; spilling moves bytes
   // out of RAM but not indices out of u32.
-  if (sealed_records_ + pending_.size() + shard.size() >
-      static_cast<std::size_t>(UINT32_MAX) + 1) {
+  if (store_.total_records_ + pending_.size() + shard.size() >
+      std::uint64_t{UINT32_MAX} + 1) {
     throw Error("SpillWriter: record count exceeds 2^32");
   }
   pending_.append(std::move(shard));
-  if (!pending_.empty() && policy_.should_seal(pending_.encoded_bytes())) {
-    seal();
-  }
+  if (!pending_.empty() && pending_.encoded_bytes() >= seal_bytes_) seal();
 }
 
 void SpillWriter::seal() {
   char name[32];
   std::snprintf(name, sizeof name, "seg-%06zu.dmseg",
                 store_.segments_.size());
-  const std::string path = (fs::path(config_.directory) / name).string();
+  const std::string path = (fs::path(directory_) / name).string();
   write_segment_file(path, pending_);
   store_.segments_.push_back(SegmentStore::Segment{
-      path, sealed_records_, pending_.size(), fs::file_size(path)});
+      path, store_.total_records_, pending_.size(), fs::file_size(path)});
   store_.total_records_ += pending_.size();
-  sealed_records_ += pending_.size();
   pending_ = ColumnarRecords();
 }
 

@@ -1,6 +1,7 @@
 // Spill tier for the columnar trace: immutable, CRC-framed, memory-mapped
-// segment files plus the SpillWriter that seals them and the RecordStore
-// facade that makes a spilled trace iterate exactly like a resident one.
+// segment files plus the SpillWriter that seals them, and RecordStore — the
+// one reader of encoded records, which iterates a spilled trace exactly like
+// a resident one.
 //
 // Segment file format (little-endian, one encoded store per file):
 //
@@ -25,10 +26,12 @@
 // damaged segment without poisoning its successors.
 //
 // mmap lifetime: segments are mapped on demand, one at a time per cursor —
-// a streaming pass holds exactly one mapping and munmaps it on segment
-// advance, so file-backed RSS is bounded by (concurrent cursors × segment
-// size) regardless of trace size. Both CRCs are verified once at
-// open()/salvage(); cursors trust files after that.
+// a streaming pass holds exactly one mapping and drops it on segment
+// advance. The store itself keeps its most recently mapped segment, so the
+// ranges of consecutive windows in one segment share one mapping instead of
+// mapping the file per range. File-backed RSS is therefore bounded by
+// ((live cursors + 1) × segment size) regardless of trace size. Both CRCs
+// are verified once at open()/salvage(); cursors trust files after that.
 //
 // Salvage contract (the dmnf `verify` path, PR 4): salvage() inspects every
 // *.dmseg in name order and returns the store over the valid ones plus a
@@ -38,7 +41,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,8 +81,9 @@ enum class SegmentFileStatus : std::uint8_t {
 };
 
 /// One mapped segment file. Obtained from SegmentStore::map_segment(); the
-/// mapping lives exactly as long as the shared_ptr (cursors drop it when
-/// they advance past the segment, which is what keeps streaming RSS flat).
+/// mapping lives exactly as long as the last shared_ptr to it (cursors drop
+/// theirs when they advance past the segment, the store when it maps
+/// another — which is what keeps streaming RSS flat).
 class MappedSegment {
  public:
   /// Outcome of try_map(): `segment` is null unless status == kOk.
@@ -157,6 +163,10 @@ class SegmentStore {
   };
 
   SegmentStore() = default;
+  // The mapping slot is a cache: a move hands over the segment table and
+  // leaves both stores' slots empty.
+  SegmentStore(SegmentStore&& other) noexcept;
+  SegmentStore& operator=(SegmentStore&& other) noexcept;
 
   /// Opens every *.dmseg under `directory` (file-name order), verifying both
   /// CRCs of every file. Throws dm::FormatError on the first damaged file.
@@ -181,7 +191,10 @@ class SegmentStore {
   /// ColumnarRecords::encoded_bytes().
   [[nodiscard]] std::uint64_t file_bytes() const noexcept;
 
-  /// Maps segment `i` (structural validation only — see MappedSegment::map).
+  /// Segment `i`'s mapping (structural validation only — see
+  /// MappedSegment::map). Reuses the store's most recent mapping when it is
+  /// segment `i`, else maps the file and keeps that mapping instead.
+  /// Thread-safe.
   [[nodiscard]] std::shared_ptr<const MappedSegment> map_segment(
       std::size_t i) const;
 
@@ -194,16 +207,21 @@ class SegmentStore {
 
   std::vector<Segment> segments_;
   std::uint64_t total_records_ = 0;
+
+  mutable std::mutex map_mu_;
+  // dmlint: guarded-by(map_mu_)
+  mutable std::shared_ptr<const MappedSegment> recent_map_;
+  // dmlint: guarded-by(map_mu_)
+  mutable std::size_t recent_map_index_ = 0;  ///< segment recent_map_ maps
 };
 
-/// Unified record store: either a resident ColumnarRecords or a spilled
-/// SegmentStore, behind one Cursor/Range API shaped exactly like
-/// ColumnarRecords' — consumers (window aggregation, detectors, analysis
-/// exhibits, trace export) iterate the same way in both modes.
+/// The one reader of encoded records: either a resident ColumnarRecords or
+/// a spilled SegmentStore, behind one Range API — WindowedTrace::records_of
+/// and its consumers (the mitigation engine, the analysis exhibits) iterate
+/// the same way in both modes.
 class RecordStore {
  public:
   class Cursor;
-  class BlockCursor;
   class Range;
 
   RecordStore() = default;
@@ -231,22 +249,13 @@ class RecordStore {
     return segments_;
   }
 
-  // Not noexcept: mapping a segment can fail (mmap exhaustion), unlike the
-  // purely in-RAM ColumnarRecords equivalents.
-  [[nodiscard]] Cursor cursor_at(std::size_t record_index) const;
+  /// Decoded view of records [first, last) (clamped to size()). Not
+  /// noexcept: mapping a segment can fail (mmap exhaustion).
   [[nodiscard]] Range range(std::size_t first, std::size_t last) const;
   [[nodiscard]] Range all() const;
-  [[nodiscard]] Direction direction_of(std::size_t record_index) const;
 
-  /// Batch counterparts: BlockCursor positioned before `record_index`, or
-  /// clipped to decode exactly records [first, last). Same segment-mapping
-  /// discipline as Cursor (one segment mapped at a time); blocks never span
-  /// a segment boundary and base_index is rebased to the global space.
-  [[nodiscard]] BlockCursor block_cursor_at(std::size_t record_index) const;
-  [[nodiscard]] BlockCursor blocks(std::size_t first, std::size_t last) const;
-
-  /// Streaming decoder across segment boundaries. Mirrors
-  /// ColumnarRecords::Cursor; maps at most one segment at a time and
+  /// Streaming decoder across segment boundaries over
+  /// ColumnarRecords::Cursor; holds at most one segment mapping and
   /// releases it on advance (and on exhaustion).
   class Cursor {
    public:
@@ -281,38 +290,10 @@ class RecordStore {
     std::size_t limit_ = 0;  ///< global one-past-last record to decode
   };
 
-  /// Batch streaming decoder across segment boundaries — the spill-aware
-  /// mirror of ColumnarRecords::BlockCursor, mapping at most one segment at
-  /// a time exactly like Cursor. Filled blocks carry global base_index.
-  class BlockCursor {
-   public:
-    BlockCursor() = default;
-
-    /// Fills `out` with the next block (up to DecodedBlock::kCapacity rows,
-    /// never spanning a segment boundary); false once exhausted.
-    bool next(DecodedBlock& out) {
-      if (inner_.next(out)) {
-        out.base_index += base_;
-        return true;
-      }
-      return advance_segment(out);
-    }
-
-   private:
-    friend class RecordStore;
-
-    bool advance_segment(DecodedBlock& out);
-
-    ColumnarRecords::BlockCursor inner_;
-    const SegmentStore* store_ = nullptr;  ///< null in resident mode
-    std::shared_ptr<const MappedSegment> mapped_;
-    std::size_t next_segment_ = 0;  ///< next segment index to map
-    std::size_t base_ = 0;   ///< global index of the inner view's record 0
-    std::size_t limit_ = 0;  ///< global one-past-last record to decode
-  };
-
-  /// Iterable decoded view, API-compatible with ColumnarRecords::Range
-  /// (single-pass input iterator exposing direction() and index()).
+  /// Iterable decoded view; `for (const FlowRecord& r : range)` works as
+  /// over a std::span<const FlowRecord>. The iterator is a single-pass
+  /// input iterator (each begin() starts a fresh pass) that also exposes
+  /// the record's direction() and global index().
   class Range {
    public:
     class iterator {
@@ -379,46 +360,39 @@ class RecordStore {
   };
 
  private:
+  /// Cursor positioned before global `record_index`, decoding to size().
+  [[nodiscard]] Cursor cursor_at(std::size_t record_index) const;
+
   ColumnarRecords resident_;
   SegmentStore segments_;  ///< empty unless spilled_
   bool spilled_ = false;
 };
 
-/// Accumulates shard stores in index order and seals them into segment
-/// files per the SpillPolicy. finish() returns a resident RecordStore when
-/// nothing was sealed (zero spill waves), else the spilled one — callers
-/// never branch on which regime a run landed in.
+/// Accumulates shard stores in index order and seals the pending store into
+/// a segment file once its encoded bytes reach
+/// clamp(ram_budget_bytes / 2, 1 MiB, 64 MiB) (see spill_policy.h).
+/// finish() returns a resident RecordStore when nothing was sealed (zero
+/// spill waves), else the spilled one — callers never branch on which
+/// regime a run landed in.
 class SpillWriter {
  public:
   /// Creates the spill directory and removes any stale *.dmseg files in it.
   explicit SpillWriter(const SpillConfig& config);
 
   /// Appends one completed shard (same re-encoding rules as
-  /// ColumnarRecords::append) and seals the pending store to disk once the
-  /// policy says so.
+  /// ColumnarRecords::append) and seals the pending store to disk once it
+  /// reaches the seal threshold.
   void append(ColumnarRecords&& shard);
-
-  /// Records accumulated so far (sealed + pending) — the window-rebase
-  /// offset for the shard about to be appended.
-  [[nodiscard]] std::size_t records_so_far() const noexcept {
-    return sealed_records_ + pending_.size();
-  }
-
-  /// Segments sealed so far (diagnostics / wave-count assertions in tests).
-  [[nodiscard]] std::size_t segments_sealed() const noexcept {
-    return store_.segment_count();
-  }
 
   [[nodiscard]] RecordStore finish() &&;
 
  private:
   void seal();
 
-  SpillConfig config_;
-  SpillPolicy policy_;
+  std::string directory_;
+  std::uint64_t seal_bytes_;  ///< encoded bytes at which pending_ seals
   ColumnarRecords pending_;
   SegmentStore store_;
-  std::size_t sealed_records_ = 0;
 };
 
 }  // namespace dm::netflow

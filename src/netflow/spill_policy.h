@@ -1,22 +1,23 @@
-// Spill-tier configuration and sealing policy.
+// Spill-tier configuration.
 //
 // SpillConfig is the user-facing knob (ScenarioConfig carries one, dmnf maps
-// --spill-dir/--ram-budget onto it): a directory for segment files, a RAM
-// budget for the encoded trace, and a segment-size cap. SpillPolicy turns the
-// budget into a seal threshold: the pending resident store is sealed into an
-// immutable on-disk segment once its encoded bytes reach
+// --spill-dir/--ram-budget onto it): a directory for segment files and a RAM
+// budget for the encoded trace. SpillWriter (segment_store.h) turns the
+// budget into its seal threshold: the pending resident store is sealed into
+// an immutable on-disk segment once its encoded bytes reach
 //
-//     min(segment_bytes, max(ram_budget_bytes / 2, 1 MiB))
+//     clamp(ram_budget_bytes / 2, 1 MiB, 64 MiB)
 //
 // Half the budget bounds the *write side* (the pending encoder plus the shard
 // being appended); the other half is headroom for the read side — mapped
-// segments during streaming decode plus transient shard buffers. Traces whose
-// encoded form stays under the threshold never seal at all (zero spill waves),
-// so small runs behave exactly as before; shrinking the budget forces one,
-// then many, waves — the differential tests sweep all three regimes.
+// segments during streaming decode plus transient shard buffers. The floor
+// keeps segments from wasting seek index and syscalls; the cap bounds one
+// segment's mapping. Traces whose encoded form stays under the threshold
+// never seal at all (zero spill waves), so small runs behave exactly as
+// before; shrinking the budget forces one, then many, waves — the
+// differential tests sweep all three regimes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -27,35 +28,8 @@ namespace dm::netflow {
 struct SpillConfig {
   std::string directory;  ///< segment-file directory; empty = resident
   std::uint64_t ram_budget_bytes = 512ull << 20;  ///< encoded-trace budget
-  std::uint64_t segment_bytes = 64ull << 20;      ///< per-segment cap
 
   [[nodiscard]] bool enabled() const noexcept { return !directory.empty(); }
-};
-
-/// Sealing decision derived from a SpillConfig.
-class SpillPolicy {
- public:
-  /// Floor on the seal threshold: segments smaller than this waste seek
-  /// index and syscall overhead for no RSS benefit.
-  static constexpr std::uint64_t kMinSealBytes = 1ull << 20;
-
-  SpillPolicy() = default;
-  explicit SpillPolicy(const SpillConfig& config) noexcept
-      : threshold_(std::min(
-            std::max(config.segment_bytes, kMinSealBytes),
-            std::max(config.ram_budget_bytes / 2, kMinSealBytes))) {}
-
-  [[nodiscard]] std::uint64_t seal_threshold() const noexcept {
-    return threshold_;
-  }
-
-  /// True once a pending store of `encoded_bytes` should be sealed to disk.
-  [[nodiscard]] bool should_seal(std::uint64_t encoded_bytes) const noexcept {
-    return encoded_bytes >= threshold_;
-  }
-
- private:
-  std::uint64_t threshold_ = UINT64_MAX;  ///< default: never seal
 };
 
 }  // namespace dm::netflow

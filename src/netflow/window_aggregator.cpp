@@ -64,21 +64,6 @@ WindowedTrace::WindowedTrace(ColumnarRecords columns,
     : WindowedTrace(RecordStore(std::move(columns)), std::move(windows),
                     unclassified_records) {}
 
-WindowedTrace::WindowedTrace(std::vector<FlowRecord> records,
-                             std::vector<Direction> directions,
-                             std::vector<VipMinuteStats> windows,
-                             std::uint64_t unclassified_records)
-    : WindowedTrace(
-          [&] {
-            ColumnarRecords columns;
-            for (std::size_t i = 0; i < records.size(); ++i) {
-              columns.push_back(records[i], directions[i]);
-            }
-            columns.shrink_to_fit();
-            return columns;
-          }(),
-          std::move(windows), unclassified_records) {}
-
 WindowedTrace::RecordRange WindowedTrace::records_of(
     const VipMinuteStats& window) const {
   return store_.range(window.first_record, window.last_record);

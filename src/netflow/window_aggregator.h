@@ -212,11 +212,6 @@ class WindowedTrace {
                 std::uint64_t unclassified_records);
   WindowedTrace(ColumnarRecords columns, std::vector<VipMinuteStats> windows,
                 std::uint64_t unclassified_records);
-  /// Convenience for ingestion paths and tests that hold AoS arrays: encodes
-  /// them into the columnar store.
-  WindowedTrace(std::vector<FlowRecord> records, std::vector<Direction> directions,
-                std::vector<VipMinuteStats> windows,
-                std::uint64_t unclassified_records);
 
   [[nodiscard]] std::span<const VipMinuteStats> windows() const noexcept {
     return windows_;
@@ -227,15 +222,9 @@ class WindowedTrace {
   }
   [[nodiscard]] const RecordStore& store() const noexcept { return store_; }
 
-  /// Records belonging to a window (same index space as windows()).
+  /// Records belonging to a window (same index space as windows()); the
+  /// iterator's direction() gives each record's orientation.
   [[nodiscard]] RecordRange records_of(const VipMinuteStats& window) const;
-
-  /// Direction of record `record_index` relative to the cloud. Costs a
-  /// store seek (plus a segment map when spilled); bulk consumers should
-  /// iterate records() and read the iterator's direction() instead.
-  [[nodiscard]] Direction direction_of(std::size_t record_index) const {
-    return store_.direction_of(record_index);
-  }
 
   /// Contiguous window slice for one (vip, direction) series, sorted by
   /// minute. Empty when the VIP has no traffic in that direction.

@@ -93,12 +93,6 @@ class Rng {
   /// and campaign sizes.
   [[nodiscard]] double pareto(double alpha, double lo, double hi) noexcept;
 
-  /// Picks a uniformly random element of a non-empty span.
-  template <typename T>
-  [[nodiscard]] const T& pick(std::span<const T> items) noexcept {
-    return items[static_cast<std::size_t>(below(items.size()))];
-  }
-
   /// Samples an index from an unnormalized weight vector. Returns
   /// weights.size()-1 on accumulated rounding error. Requires a positive sum.
   [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;

@@ -152,19 +152,17 @@ TEST(ParallelExec, ParallelForCoversRangeOnce) {
 }
 
 TEST(ParallelExec, MapReduceMergesInIndexOrder) {
-  // The reduction must see shard results in index order regardless of the
-  // pool size; concatenation makes any reordering visible.
+  // parallel_map must hand back results in index order regardless of the
+  // pool size — the ordered merge serve's shard runs rely on.
   const auto run = [](ThreadPool* pool) {
-    return parallel_map_reduce<std::vector<std::size_t>, std::size_t>(
-        pool, 200, std::vector<std::size_t>{},
-        [](std::size_t i) { return i * i; },
-        [](std::vector<std::size_t> acc, std::size_t x) {
-          acc.push_back(x);
-          return acc;
-        });
+    return parallel_map<std::size_t>(pool, 200,
+                                     [](std::size_t i) { return i * i; });
   };
   const std::vector<std::size_t> serial = run(nullptr);
   ASSERT_EQ(serial.size(), 200u);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i], i * i) << "index " << i;
+  }
   for (unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(run(&pool), serial) << "threads=" << threads;

@@ -1,18 +1,16 @@
 // Study-level differential verification of the block decode pipeline: the
-// production path now aggregates and detects through DecodedBlocks, so
-// (a) full studies must stay tuple-identical across thread counts in both
-// resident and spill mode — the block pipeline inherits the determinism
-// contract — and (b) draining a finished study's RecordStore through
-// BlockCursor must be field-for-field identical to the scalar Cursor, the
-// retained differential oracle, including across spill-segment boundaries
-// and over clipped sub-ranges.
+// window build aggregates through DecodedBlocks, so (a) full studies must
+// stay tuple-identical across thread counts in both resident and spill mode
+// — the block pipeline inherits the determinism contract — and (b) draining
+// a finished study's resident store through ColumnarRecords::BlockCursor,
+// entered by reset(view, n) as build_windows_blocks enters it, must be
+// field-for-field identical to the scalar Cursor, the retained differential
+// oracle.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <string>
 
@@ -20,7 +18,6 @@
 #include "integration/study_exhibits.h"
 #include "netflow/columnar_records.h"
 #include "netflow/segment_store.h"
-#include "util/rng.h"
 
 namespace dm {
 namespace {
@@ -45,24 +42,24 @@ fs::path scratch_dir(const std::string& suffix) {
   return dir;
 }
 
-/// Drains `store.blocks(first, last)` against the scalar range — every
-/// decoded field, the rebased base_index, and block-capacity bounds.
-void expect_blocks_match_range(const netflow::RecordStore& store,
-                               std::size_t first, std::size_t last) {
-  auto blocks = store.blocks(first, last);
-  auto range = store.range(first, last);
-  auto it = range.begin();
+/// Drains all of `view` through a BlockCursor entered by reset(view, n)
+/// against the Cursor ColumnarRecords::seek(view, 0) returns — every decoded
+/// field, base_index, and block-capacity bounds.
+void expect_blocks_match_cursor(const netflow::ColumnarView& view) {
+  netflow::ColumnarRecords::BlockCursor blocks;
+  blocks.reset(view, view.records);
+  auto cursor = netflow::ColumnarRecords::seek(view, 0);
   netflow::DecodedBlock block;
-  std::size_t i = first;
+  std::size_t i = 0;
   while (blocks.next(block)) {
     ASSERT_GT(block.count, 0u);
     ASSERT_LE(block.count, +netflow::DecodedBlock::kCapacity);
     ASSERT_EQ(block.base_index, i);
-    for (std::size_t k = 0; k < block.count; ++k, ++i, ++it) {
-      ASSERT_TRUE(it != range.end()) << "blocks decoded past the range";
-      const netflow::FlowRecord& r = *it;
+    for (std::size_t k = 0; k < block.count; ++k, ++i) {
+      ASSERT_TRUE(cursor.next()) << "blocks decoded past the cursor";
+      const netflow::FlowRecord& r = cursor.record();
       const auto dir = static_cast<netflow::Direction>(block.direction[k]);
-      ASSERT_EQ(dir, it.direction()) << "record " << i;
+      ASSERT_EQ(dir, cursor.direction()) << "record " << i;
       const netflow::IPv4 vip =
           dir == netflow::Direction::kInbound ? r.dst_ip : r.src_ip;
       const netflow::IPv4 remote =
@@ -81,8 +78,8 @@ void expect_blocks_match_range(const netflow::RecordStore& store,
       ASSERT_EQ(block.bytes[k], r.bytes) << "record " << i;
     }
   }
-  EXPECT_EQ(i, last);
-  EXPECT_TRUE(it == range.end()) << "scalar range has records blocks missed";
+  EXPECT_EQ(i, view.records);
+  EXPECT_FALSE(cursor.next()) << "scalar cursor has records blocks missed";
 }
 
 TEST(BlockEquivalence, StudyBlocksMatchScalarAcrossThreadsAndSpill) {
@@ -104,7 +101,6 @@ TEST(BlockEquivalence, StudyBlocksMatchScalarAcrossThreadsAndSpill) {
       if (spill) {
         // Floor the seal threshold so the smoke trace spans segments.
         config.spill.directory = dir.string();
-        config.spill.segment_bytes = 1ull << 20;
         config.spill.ram_budget_bytes = 2ull << 20;
       }
       const core::Study study(config);
@@ -115,51 +111,12 @@ TEST(BlockEquivalence, StudyBlocksMatchScalarAcrossThreadsAndSpill) {
       // windows, incidents, and exhibits tuple-for-tuple.
       expect_same_study(baseline, baseline_exhibits, study);
 
-      // And the store itself must block-decode identically to the scalar
-      // cursor: full scan plus ranges that start mid-run, end mid-block,
-      // and (in spill mode) straddle segment boundaries.
-      const std::size_t n = store.size();
-      expect_blocks_match_range(store, 0, n);
-      util::Rng rng(903 + threads);
-      for (int round = 0; round < 12; ++round) {
-        const std::size_t first = rng.below(n + 1);
-        const std::size_t last = first + rng.below(n + 1 - first);
-        SCOPED_TRACE("range [" + std::to_string(first) + ", " +
-                     std::to_string(last) + ")");
-        expect_blocks_match_range(store, first, last);
-      }
-      if (spill) {
-        // Ranges pinned to segment seams: one record either side of each
-        // boundary, where BlockCursor must end a block early and remap.
-        const auto& segs = store.segments().segments();
-        std::size_t boundary = 0;
-        for (std::size_t s = 0; s + 1 < segs.size(); ++s) {
-          boundary += static_cast<std::size_t>(segs[s].records);
-          SCOPED_TRACE("segment boundary " + std::to_string(boundary));
-          expect_blocks_match_range(store, boundary - 1,
-                                    std::min(n, boundary + 1));
-          expect_blocks_match_range(store, boundary, std::min(n, boundary + 1));
-        }
-      }
+      // And a resident store must block-decode identically to the scalar
+      // cursor over its whole length.
+      if (!spill) expect_blocks_match_cursor(store.resident().view());
       fs::remove_all(dir);
     }
   }
-}
-
-TEST(BlockEquivalence, EmptyAndDegenerateRanges) {
-  auto config = base_config();
-  config.thread_count = 1;
-  const core::Study study(config);
-  const netflow::RecordStore& store = study.trace().store();
-  const std::size_t n = store.size();
-
-  netflow::DecodedBlock block;
-  auto empty_mid = store.blocks(n / 2, n / 2);
-  EXPECT_FALSE(empty_mid.next(block));
-  EXPECT_EQ(block.count, 0u);
-  auto empty_end = store.blocks(n, n);
-  EXPECT_FALSE(empty_end.next(block));
-  expect_blocks_match_range(store, n - 1, n);  // single final record
 }
 
 }  // namespace

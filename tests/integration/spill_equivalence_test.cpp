@@ -8,7 +8,9 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <string>
 
@@ -43,20 +45,20 @@ fs::path scratch_dir(const std::string& suffix) {
 
 struct SpillCase {
   const char* label;
-  std::uint64_t segment_bytes;
   std::uint64_t ram_budget_bytes;
 };
 
-// The smoke trace encodes to roughly 1–2 MiB; the policy seals at
-// min(max(segment_bytes, 1 MiB), max(ram_budget / 2, 1 MiB)).
-//   huge-budget  → threshold far above the trace → 0 segments sealed
-//                  (finish() returns the resident store).
-//   one-wave     → threshold ≈ the whole trace → a single late seal.
+// Smoke traces encode to 14.9–17.0 MiB (seeds 7, 24601, 31337); SpillWriter
+// seals at clamp(ram_budget / 2, 1 MiB, 64 MiB).
+//   zero-spills  → threshold at the 64 MiB cap, far above the trace → 0
+//                  segments sealed (finish() returns the resident store).
+//   one-wave     → 8 MiB threshold, about half the trace → the first seal
+//                  lands mid-run (2–3 segments in all).
 //   many-waves   → threshold floors at 1 MiB → several segments.
 constexpr SpillCase kSpillCases[] = {
-    {"zero-spills", 1ull << 30, 1ull << 32},
-    {"one-wave", 64ull << 20, 16ull << 20},
-    {"many-waves", 1ull << 20, 2ull << 20},
+    {"zero-spills", 1ull << 32},
+    {"one-wave", 16ull << 20},
+    {"many-waves", 2ull << 20},
 };
 
 TEST(SpillEquivalence, StudyIsByteIdenticalAcrossBudgetsAndThreads) {
@@ -78,7 +80,6 @@ TEST(SpillEquivalence, StudyIsByteIdenticalAcrossBudgetsAndThreads) {
       auto config = base_config();
       config.thread_count = threads;
       config.spill.directory = dir.string();
-      config.spill.segment_bytes = c.segment_bytes;
       config.spill.ram_budget_bytes = c.ram_budget_bytes;
       const core::Study spilled(config);
 
@@ -117,7 +118,6 @@ TEST(SpillEquivalence, UnfusedPipelineSpillsIdenticallyToo) {
   const fs::path dir = scratch_dir("unfused");
   netflow::SpillConfig spill;
   spill.directory = dir.string();
-  spill.segment_bytes = 1ull << 20;
   spill.ram_budget_bytes = 2ull << 20;
   const netflow::WindowedTrace spilled =
       netflow::aggregate_windows(records, cloud, blacklist, &pool, &spill);
@@ -145,7 +145,6 @@ TEST(SpillEquivalence, SegmentDirectoryReopensToTheSameRecords) {
   auto config = base_config();
   config.thread_count = 1;
   config.spill.directory = dir.string();
-  config.spill.segment_bytes = 1ull << 20;
   config.spill.ram_budget_bytes = 2ull << 20;
   const core::Study study(config);
   ASSERT_TRUE(study.trace().store().spilled());
@@ -164,6 +163,50 @@ TEST(SpillEquivalence, SegmentDirectoryReopensToTheSameRecords) {
   EXPECT_TRUE(eit == expect.end());
   EXPECT_TRUE(git == got.end());
   fs::remove_all(dir);
+}
+
+TEST(SpillEquivalence, WindowRangesOfOneSegmentShareOneMapping) {
+  // Consecutive windows of one segment decode through the store's one kept
+  // mapping: once window 0's range has mapped segment 0, every other window
+  // of segment 0 must decode with the segment files moved away, because no
+  // read maps the file again.
+  const fs::path dir = scratch_dir("mapping");
+  const fs::path moved = scratch_dir("mapping_moved");
+  auto config = base_config();
+  config.thread_count = 1;
+  config.spill.directory = dir.string();
+  config.spill.ram_budget_bytes = 2ull << 20;
+  const core::Study study(config);
+  const netflow::WindowedTrace& trace = study.trace();
+  ASSERT_TRUE(trace.store().spilled());
+  ASSERT_GE(trace.store().segments().segment_count(), 2u);
+  const std::uint64_t segment0_records =
+      trace.store().segments().segments()[0].records;
+  const auto windows = trace.windows();
+  ASSERT_FALSE(windows.empty());
+
+  std::uint64_t decoded = 0;
+  const auto count = [&](const netflow::VipMinuteStats& w) {
+    const auto range = trace.records_of(w);
+    for (auto it = range.begin(); it != range.end(); ++it) ++decoded;
+  };
+  count(windows[0]);
+  fs::rename(dir, moved);
+  std::size_t segment0_windows = 1;
+  std::string error;
+  try {
+    for (; segment0_windows < windows.size() &&
+           windows[segment0_windows].last_record <= segment0_records;
+         ++segment0_windows) {
+      count(windows[segment0_windows]);
+    }
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  fs::remove_all(moved);
+  EXPECT_EQ(error, "") << "after " << segment0_windows << " windows";
+  EXPECT_GT(segment0_windows, 1u);
+  EXPECT_EQ(decoded, segment0_records);
 }
 
 }  // namespace

@@ -6,11 +6,12 @@
 //      fallback lengths and boundary bit-widths) to the same value and the
 //      same end pointer as the scalar loop.
 //   2. BlockCursor vs Cursor — for any store (round-trip fixtures,
-//      adversarial extremes, shard-order appends), any seek position, and
-//      any clip limit, the concatenated DecodedBlocks must be field-for-
-//      field identical to the scalar Cursor stream, with a run_mask that
-//      marks exactly the run-start rows. This is the invariant the whole
-//      block pipeline (aggregation, detection, spill reads) rests on.
+//      adversarial extremes, shard-order appends) and any limit passed to
+//      reset(), the concatenated DecodedBlocks must be field-for-field
+//      identical to the scalar Cursor stream — entered by
+//      ColumnarRecords::seek at any position — with a run_mask that marks
+//      exactly the run-start rows. This is the invariant the window build
+//      (build_windows_blocks) rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,25 +179,37 @@ std::vector<Oriented> canonical_batch(util::Rng& rng, std::size_t groups) {
   return out;
 }
 
-/// Drains `blocks` and checks every decoded field, base_index, and run_mask
-/// bit against the scalar Cursor stream `cursor` (both already positioned
-/// at `first`), expecting exactly `last - first` records.
-void expect_blocks_match_cursor(ColumnarRecords::BlockCursor blocks,
-                                ColumnarRecords::Cursor cursor,
-                                std::size_t first, std::size_t last,
-                                const ColumnarView& view) {
+/// Drains a BlockCursor entered through reset(view, last) — the way
+/// build_windows_blocks enters one — and checks every base_index and
+/// run_mask bit, and every decoded field of the rows from `first` on
+/// against the scalar Cursor that ColumnarRecords::seek(view, first)
+/// returns, clipped to `last`.
+void expect_blocks_match_cursor(const ColumnarView& view, std::size_t first,
+                                std::size_t last) {
+  ColumnarRecords::BlockCursor blocks;
+  blocks.reset(view, last);
+  auto cursor = ColumnarRecords::seek(view, first);
+  cursor.clip(last);
   DecodedBlock block;
-  std::size_t i = first;
+  std::size_t i = 0;
   while (blocks.next(block)) {
     ASSERT_GT(block.count, 0u);
     ASSERT_LE(block.count, +DecodedBlock::kCapacity);
     ASSERT_EQ(block.base_index, i);
     for (std::size_t k = 0; k < block.count; ++k, ++i) {
       ASSERT_LT(i, last) << "block decoded past the limit";
+      // run_mask bit k must equal "record i is some run's first record".
+      const bool is_run_start =
+          std::binary_search(view.run_starts, view.run_starts + view.runs,
+                             static_cast<std::uint32_t>(i));
+      ASSERT_EQ(((block.run_mask >> k) & 1) != 0, is_run_start)
+          << "run_mask bit " << k << " of record " << i;
+      if (i < first) continue;
+      SCOPED_TRACE("record " + std::to_string(i));
       ASSERT_TRUE(cursor.next());
+      ASSERT_EQ(cursor.index(), i);
       const FlowRecord& r = cursor.record();
       const auto dir = static_cast<Direction>(block.direction[k]);
-      SCOPED_TRACE("record " + std::to_string(i));
       ASSERT_EQ(dir, cursor.direction());
       const IPv4 vip = dir == Direction::kInbound ? r.dst_ip : r.src_ip;
       const IPv4 remote = dir == Direction::kInbound ? r.src_ip : r.dst_ip;
@@ -209,16 +222,10 @@ void expect_blocks_match_cursor(ColumnarRecords::BlockCursor blocks,
       ASSERT_EQ(static_cast<TcpFlags>(block.tcp_flags[k]), r.tcp_flags);
       ASSERT_EQ(block.packets[k], r.packets);
       ASSERT_EQ(block.bytes[k], r.bytes);
-      // run_mask bit k must equal "record i is some run's first record".
-      const bool is_run_start =
-          std::binary_search(view.run_starts, view.run_starts + view.runs,
-                             static_cast<std::uint32_t>(i));
-      ASSERT_EQ(((block.run_mask >> k) & 1) != 0, is_run_start)
-          << "run_mask bit " << k;
     }
   }
   EXPECT_EQ(block.count, 0u);  // exhausted next() must report an empty block
-  EXPECT_TRUE(blocks.done());
+  EXPECT_FALSE(blocks.next(block)) << "exhausted BlockCursor must stay so";
   EXPECT_EQ(i, last);
   EXPECT_FALSE(cursor.next()) << "Cursor has records the blocks missed";
 }
@@ -229,10 +236,9 @@ void expect_block_equivalence(const ColumnarRecords& store,
   const ColumnarView view = store.view();
 
   // Full scan from 0.
-  expect_blocks_match_cursor(store.block_cursor_at(0), store.cursor_at(0), 0,
-                             store.size(), view);
+  expect_blocks_match_cursor(view, 0, store.size());
 
-  // Seeks: run starts, mid-run positions, block-capacity strides, the end.
+  // Cursor seeks: run starts, mid-run positions, random points, the end.
   util::Rng rng(0xb10c);
   std::vector<std::size_t> seeks{0, store.size()};
   for (int s = 0; s < 40; ++s) seeks.push_back(rng.below(store.size() + 1));
@@ -243,33 +249,28 @@ void expect_block_equivalence(const ColumnarRecords& store,
   }
   for (const std::size_t first : seeks) {
     SCOPED_TRACE("seek " + std::to_string(first));
-    expect_blocks_match_cursor(store.block_cursor_at(first),
-                               store.cursor_at(first), first, store.size(),
-                               view);
+    expect_blocks_match_cursor(view, first, store.size());
   }
 
-  // Clipped ranges, including clips that land mid-block and mid-run.
+  // Decode limits, including limits that land mid-block and mid-run.
   for (int s = 0; s < 40; ++s) {
     const std::size_t first = rng.below(store.size() + 1);
     const std::size_t last = first + rng.below(store.size() + 1 - first);
-    SCOPED_TRACE("clip [" + std::to_string(first) + ", " +
+    SCOPED_TRACE("limit [" + std::to_string(first) + ", " +
                  std::to_string(last) + ")");
-    auto blocks = store.block_cursor_at(first);
-    blocks.clip(last);
-    auto cursor = store.cursor_at(first);
-    cursor.clip(last);
-    expect_blocks_match_cursor(blocks, cursor, first, last, view);
+    expect_blocks_match_cursor(view, first, last);
   }
 }
 
 TEST(ColumnarBlocks, EmptyStore) {
   const ColumnarRecords store;
-  auto blocks = store.block_cursor_at(0);
+  ColumnarRecords::BlockCursor blocks;
+  blocks.reset(store.view(), store.size());
   DecodedBlock block;
   block.count = 99;  // stale scratch: next() must clear it
   EXPECT_FALSE(blocks.next(block));
   EXPECT_EQ(block.count, 0u);
-  EXPECT_TRUE(blocks.done());
+  EXPECT_FALSE(blocks.next(block));
 }
 
 TEST(ColumnarBlocks, CanonicalBatchMatchesCursor) {
@@ -335,23 +336,6 @@ TEST(ColumnarBlocks, AppendedStoreMatchesCursor) {
     merged.append(std::move(piece));
   }
   expect_block_equivalence(merged, input);
-}
-
-TEST(ColumnarBlocks, BlockCursorAdoptsMidRunCursorState) {
-  util::Rng rng(444);
-  const auto input = canonical_batch(rng, 60);
-  const ColumnarRecords store = encode(input);
-
-  // Advance a scalar cursor a few records past a seek point, then hand it
-  // to a BlockCursor: the adopted delta state must continue exactly.
-  for (const std::size_t first : {std::size_t{0}, store.size() / 3}) {
-    auto cursor = store.cursor_at(first);
-    std::size_t advanced = first;
-    for (int i = 0; i < 7 && cursor.next(); ++i) ++advanced;
-    auto oracle = store.cursor_at(advanced);
-    expect_blocks_match_cursor(ColumnarRecords::BlockCursor(cursor), oracle,
-                               advanced, store.size(), store.view());
-  }
 }
 
 }  // namespace

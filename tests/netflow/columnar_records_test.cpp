@@ -1,9 +1,9 @@
-// Round-trip property suite for the columnar record store: decode must
+// Round-trip property suite for the columnar record codec: decode must
 // reproduce the encoded (record, direction) sequence EXACTLY — for
 // canonical sorted input (the pipeline's case), for arbitrary unsorted
 // input, and for adversarial field values (max varints, single-record
-// windows, out-of-range ingested minutes) — and seeks, ranges, and
-// shard-order appends must agree with the monolithic encoding.
+// windows, out-of-range ingested minutes) — and seeks, RecordStore ranges,
+// and shard-order appends must agree with the monolithic encoding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "netflow/columnar_records.h"
+#include "netflow/segment_store.h"
 #include "util/rng.h"
 
 namespace dm::netflow {
@@ -65,16 +66,18 @@ ColumnarRecords encode(const std::vector<Oriented>& input) {
   return store;
 }
 
+/// Drains the cursor ColumnarRecords::seek(view, 0) returns against
+/// `expected`.
 void expect_decodes_to(const ColumnarRecords& store,
                        const std::vector<Oriented>& expected) {
   ASSERT_EQ(store.size(), expected.size());
   std::size_t n = 0;
-  const auto range = store.all();
-  for (auto it = range.begin(); it != range.end(); ++it, ++n) {
+  auto cursor = ColumnarRecords::seek(store.view(), 0);
+  for (; cursor.next(); ++n) {
     ASSERT_LT(n, expected.size());
-    ASSERT_EQ(it.index(), n);
-    ASSERT_EQ(*it, expected[n].record) << "record " << n;
-    ASSERT_EQ(it.direction(), expected[n].direction) << "direction " << n;
+    ASSERT_EQ(cursor.index(), n);
+    ASSERT_EQ(cursor.record(), expected[n].record) << "record " << n;
+    ASSERT_EQ(cursor.direction(), expected[n].direction) << "direction " << n;
   }
   EXPECT_EQ(n, expected.size());
 }
@@ -113,7 +116,10 @@ TEST(ColumnarRecords, EmptyStore) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.run_count(), 0u);
-  const auto range = store.all();
+  auto cursor = ColumnarRecords::seek(store.view(), 0);
+  EXPECT_FALSE(cursor.next());
+  const RecordStore records{ColumnarRecords()};
+  const auto range = records.all();
   EXPECT_TRUE(range.empty());
   EXPECT_TRUE(range.begin() == range.end());
 }
@@ -191,7 +197,7 @@ TEST(ColumnarRecords, SingleRecordWindows) {
 TEST(ColumnarRecords, SeeksMatchFullDecode) {
   util::Rng rng(404);
   const auto input = canonical_batch(rng, 60, 40);
-  const ColumnarRecords store = encode(input);
+  const RecordStore store(encode(input));
   const std::size_t n = input.size();
 
   for (int round = 0; round < 200; ++round) {
@@ -211,9 +217,15 @@ TEST(ColumnarRecords, SeeksMatchFullDecode) {
     ASSERT_EQ(i, last);
   }
 
+  // Point seeks through the codec's own entry, mid-run positions included.
+  const ColumnarView view = store.resident().view();
   for (int round = 0; round < 200; ++round) {
     const std::size_t i = rng.below(n);
-    EXPECT_EQ(store.direction_of(i), input[i].direction) << "direction " << i;
+    auto cursor = ColumnarRecords::seek(view, i);
+    ASSERT_TRUE(cursor.next());
+    EXPECT_EQ(cursor.index(), i);
+    EXPECT_EQ(cursor.record(), input[i].record) << "record " << i;
+    EXPECT_EQ(cursor.direction(), input[i].direction) << "direction " << i;
   }
 }
 
@@ -279,7 +291,7 @@ TEST(ColumnarRecords, AppendIntoReservedStoreMatches) {
 TEST(ColumnarRecords, RangeSupportsVectorConstruction) {
   util::Rng rng(707);
   const auto input = canonical_batch(rng, 10, 10);
-  const ColumnarRecords store = encode(input);
+  const RecordStore store(encode(input));
   const auto range = store.all();
   const std::vector<FlowRecord> decoded(range.begin(), range.end());
   ASSERT_EQ(decoded.size(), input.size());

@@ -85,8 +85,7 @@ RecordStore spill_segments(const std::vector<Oriented>& input,
                            const fs::path& dir) {
   SpillConfig config;
   config.directory = dir.string();
-  config.segment_bytes = 1;       // floors at 1 MiB
-  config.ram_budget_bytes = 2;    // floors at 1 MiB
+  config.ram_budget_bytes = 2;  // seal threshold floors at 1 MiB
   SpillWriter writer(config);
   constexpr std::size_t kShard = 10'000;
   for (std::size_t i = 0; i < input.size(); i += kShard) {

@@ -3,8 +3,8 @@
 // mmap'd cursor decode must reproduce EXACTLY what the resident
 // ColumnarRecords path produces — for pipeline-shaped shards, adversarial
 // shard shapes (empty shards, single-run segments, max-delta remote
-// swings), and for every seek/range/direction_of access pattern, including
-// ranges that straddle segment boundaries.
+// swings), and for every RecordStore range and ColumnarRecords::seek access
+// pattern, including ranges that straddle segment boundaries.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -111,10 +111,9 @@ fs::path scratch_dir(const std::string& suffix) {
 SpillConfig tiny_spill(const fs::path& dir, std::uint64_t threshold_bytes) {
   SpillConfig config;
   config.directory = dir.string();
-  // policy threshold = min(max(segment_bytes, 1MiB), max(budget/2, 1MiB));
-  // both knobs floor at 1 MiB, so sub-MiB segments need the test to feed
-  // shards whose encoded size crosses 1 MiB — or simply accept the floor.
-  config.segment_bytes = threshold_bytes;
+  // SpillWriter seals at clamp(budget / 2, 1 MiB, 64 MiB); the 1 MiB floor
+  // means sub-MiB segments need the test to feed shards whose encoded size
+  // crosses 1 MiB — or simply accept the floor.
   config.ram_budget_bytes = 2 * threshold_bytes;
   return config;
 }
@@ -242,7 +241,7 @@ TEST(SegmentStore, BelowThresholdStaysResident) {
   const auto input = canonical_batch(rng, 20, 10);
   const fs::path dir = scratch_dir("resident");
   SpillConfig config;
-  config.directory = dir.string();  // defaults: 64 MiB segments, 512 MiB RAM
+  config.directory = dir.string();  // default 512 MiB budget: 64 MiB seals
   const RecordStore store = spill(input, {50, 50, 50}, config);
   EXPECT_FALSE(store.spilled());
   expect_decodes_to(store, input);
@@ -306,9 +305,16 @@ TEST(SegmentStore, RangesStraddleSegmentBoundaries) {
     ASSERT_EQ(i, last);
   }
 
+  // Single-record ranges: the point lookups a window's records_of reduces
+  // to at its narrowest.
   for (int round = 0; round < 120; ++round) {
     const std::size_t i = rng.below(n);
-    EXPECT_EQ(store.direction_of(i), input[i].direction) << "direction " << i;
+    const auto range = store.range(i, i + 1);
+    const auto it = range.begin();
+    ASSERT_TRUE(it != range.end());
+    EXPECT_EQ(it.index(), i);
+    EXPECT_EQ(*it, input[i].record) << "record " << i;
+    EXPECT_EQ(it.direction(), input[i].direction) << "direction " << i;
   }
 
   // segment_containing agrees with the segment table.

@@ -10,7 +10,10 @@
 # the snapshot are reported and skipped, so the gate works before and after
 # a re-baseline. Comparisons only ever run against rows the snapshot
 # recorded on a comparable host — thread-scaling rows are judged on the
-# snapshot's own num_cpus stamp, not this machine's.
+# snapshot's own num_cpus stamp, not this machine's. Every top-level
+# alternative of the filter must match at least one benchmark name (rows
+# registered with UseRealTime end in /real_time), so a row the filter
+# silently stops selecting fails the gate instead of going unchecked.
 #
 # Usage: tools/bench_gate.sh [tolerance]
 #   BENCH_BUILD_DIR   Release build dir (default: build-bench, shared with
@@ -22,7 +25,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BENCH_BUILD_DIR:-$ROOT/build-bench}"
 SNAPSHOT="$ROOT/BENCH_pipeline.json"
 TOLERANCE="${1:-${DM_BENCH_TOLERANCE:-0.70}}"
-FILTER="${DM_BENCH_GATE_FILTER:-BM_VarintDecode|BM_BlockDecode|BM_FusedGenerateWindows/threads:1$|BM_DetectMinutes/threads:1$}"
+FILTER="${DM_BENCH_GATE_FILTER:-BM_VarintDecode|BM_BlockDecode|BM_FusedGenerateWindows/threads:1/real_time$|BM_DetectMinutes/threads:1/real_time$}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -43,18 +46,38 @@ echo "== bench_gate: filter=$FILTER tolerance=$TOLERANCE"
   --benchmark_out="$TMP/gate.json" \
   --benchmark_out_format=json > /dev/null
 
-python3 - "$TMP/gate.json" "$SNAPSHOT" "$TOLERANCE" <<'PY'
+python3 - "$TMP/gate.json" "$SNAPSHOT" "$TOLERANCE" "$FILTER" <<'PY'
 import json
 import re
 import sys
 
-measured_path, snapshot_path, tol_s = sys.argv[1:4]
+measured_path, snapshot_path, tol_s, filter_re = sys.argv[1:5]
 tolerance = float(tol_s)
 with open(measured_path) as f:
     measured = json.load(f)
 with open(snapshot_path) as f:
     snapshot = json.load(f)
 stages = snapshot.get("stages", {})
+
+
+def alternatives(pattern):
+    """Splits a regex on its '|' outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(pattern):
+        if i > 0 and pattern[i - 1] == "\\":
+            continue
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "|" and depth == 0:
+            parts.append(pattern[start:i])
+            start = i + 1
+    return parts + [pattern[start:]]
+
+
+names = [b["name"] for b in measured.get("benchmarks", [])]
+unmatched = [alt for alt in alternatives(filter_re)
+             if not any(re.search(alt, name) for name in names)]
+for alt in unmatched:
+    print(f"  FAIL filter alternative {alt!r} matched no benchmark")
 
 failures, checked, skipped = [], 0, []
 for b in measured.get("benchmarks", []):
@@ -81,6 +104,9 @@ for b in measured.get("benchmarks", []):
 
 for row in skipped:
     print(f"  skip {row}: not in snapshot (re-run tools/bench_json.sh)")
+if unmatched:
+    sys.exit("bench_gate.sh: filter alternatives matched no benchmark: " +
+             ", ".join(unmatched))
 if checked == 0:
     sys.exit("bench_gate.sh: no gated row matched the snapshot — "
              "stale baseline or filter drift")

@@ -17,8 +17,9 @@
 #      ingest, and the
 #      crash matrix's MidGenerationAndRepeatedKillPoints case; the full
 #      RotationCrashMatrix runs in the DM_SERVE ASan stage)
-#   4. ASan+UBSan build + codec suites (columnar store, frame codec with
-#      its golden bytes, traces, windows, segments)
+#   4. ASan+UBSan build + codec suites (columnar store, the SWAR block
+#      decoder's ColumnarBlocks/VarintSwar suites, frame codec with its
+#      golden bytes, traces, windows, segments)
 #   5. DM_SPILL=1: spill-tier differential + crash-recovery suites (ASan)
 #   6. DM_SERVE=1: serve fleet suites — checkpoint-rotation crash matrix,
 #      supervisor admission/shed and book-decoder rejection, sink +
@@ -38,7 +39,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Aggregate|Supervisor|MidGenerationAndRepeatedKillPoints}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarBlocks|VarintSwar|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
