@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,29 @@ template <typename T, typename Map>
   std::vector<T> results(n);
   parallel_for(pool, n, [&](std::size_t i) { results[i] = map(i); });
   return results;
+}
+
+/// Resizes `v` to `n` value-initialized elements, faulting in the pages of
+/// the new elements on `pool` first. A large fresh allocation is a new
+/// mapping whose every page traps to the kernel on its first write; taking
+/// those traps on every worker leaves the serial value-initialization only
+/// warm stores. The touch constructs one element per page in the reserved
+/// storage, which the resize then constructs over, so it stays defined for
+/// any trivially destructible T. On a serial pool it is a plain resize.
+template <typename T>
+void resize_first_touch(ThreadPool* pool, std::vector<T>& v, std::size_t n) {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "the resize constructs over the touched elements");
+  if (pool != nullptr && pool->thread_count() > 0 && n > v.size()) {
+    v.reserve(n);
+    constexpr std::size_t kStride = std::max<std::size_t>(1, 4096 / sizeof(T));
+    T* const first = v.data() + v.size();
+    parallel_for(pool, (n - v.size() + kStride - 1) / kStride,
+                 [first](std::size_t page) {
+                   std::construct_at(first + page * kStride);
+                 });
+  }
+  v.resize(n);
 }
 
 /// Concatenates per-chunk vectors (in chunk order) into one vector — the

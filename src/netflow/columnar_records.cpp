@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/parallel.h"
 #include "util/error.h"
 
 namespace dm::netflow {
@@ -60,6 +61,84 @@ void ColumnarRecords::push_back(const FlowRecord& record, Direction direction) {
   ++size_;
 }
 
+ColumnarRecords::Placement ColumnarRecords::place_behind(
+    const ColumnarRecords& front, const BufferSizes& at) const {
+  if (front.size_ + size_ > static_cast<std::size_t>(UINT32_MAX) + 1) {
+    throw Error("ColumnarRecords: record count exceeds 2^32");
+  }
+  Placement p;
+  p.at = at;
+  p.records = front.size_;
+  // Every store's first run header is encoded relative to (0, 0); it is
+  // re-encoded relative to the front's last run, and the rest is copied
+  // verbatim (later headers are deltas between this store's own runs).
+  const std::uint8_t* h = headers_.data();
+  const std::uint64_t first_key = undelta64(0, get_varint(h));
+  const std::uint64_t first_minute = undelta64(0, get_varint(h));
+  p.old_header_bytes = static_cast<std::size_t>(h - headers_.data());
+  std::uint8_t* out =
+      put_varint_raw(p.first_header, delta64(first_key, front.last_key_));
+  out = put_varint_raw(out, delta64(first_minute, front.last_minute_));
+  p.first_header_bytes = static_cast<std::size_t>(out - p.first_header);
+  p.end = BufferSizes{
+      at.header_bytes + headers_.size() + p.first_header_bytes -
+          p.old_header_bytes,
+      at.payload_bytes + payload_.size(), at.runs + run_starts_.size(),
+      at.checkpoints + checkpoints_.size()};
+  return p;
+}
+
+void ColumnarRecords::copy_into(ColumnarRecords& dest,
+                                const Placement& p) const noexcept {
+  std::uint8_t* const headers = std::copy_n(
+      p.first_header, p.first_header_bytes,
+      dest.headers_.data() + static_cast<std::size_t>(p.at.header_bytes));
+  std::copy(headers_.begin() + static_cast<std::ptrdiff_t>(p.old_header_bytes),
+            headers_.end(), headers);
+  const std::uint64_t payload_base = p.at.payload_bytes;
+  std::copy(payload_.begin(), payload_.end(),
+            dest.payload_.data() + static_cast<std::size_t>(payload_base));
+
+  const auto record_base = static_cast<std::uint32_t>(p.records);
+  std::transform(run_starts_.begin(), run_starts_.end(),
+                 dest.run_starts_.data() + p.at.runs,
+                 [record_base](std::uint32_t rs) { return rs + record_base; });
+  std::transform(payload_offs_.begin(), payload_offs_.end(),
+                 dest.payload_offs_.data() + p.at.runs,
+                 [payload_base](std::uint64_t off) { return off + payload_base; });
+
+  // Header offsets shift by the bytes in front of this store's headers,
+  // adjusted for the first header's re-encoded length.
+  const std::uint64_t run_base = p.at.runs;
+  const std::uint64_t header_shift =
+      p.at.header_bytes + p.first_header_bytes - p.old_header_bytes;
+  std::transform(checkpoints_.begin(), checkpoints_.end(),
+                 dest.checkpoints_.data() + p.at.checkpoints,
+                 [run_base, header_shift](const Checkpoint& cp) {
+                   return Checkpoint{cp.run + run_base,
+                                     cp.next_header + header_shift, cp.key,
+                                     cp.minute};
+                 });
+}
+
+void ColumnarRecords::resize_buffers(exec::ThreadPool* pool,
+                                     const BufferSizes& sizes) {
+  exec::resize_first_touch(pool, headers_,
+                           static_cast<std::size_t>(sizes.header_bytes));
+  exec::resize_first_touch(pool, payload_,
+                           static_cast<std::size_t>(sizes.payload_bytes));
+  exec::resize_first_touch(pool, run_starts_, sizes.runs);
+  exec::resize_first_touch(pool, payload_offs_, sizes.runs);
+  exec::resize_first_touch(pool, checkpoints_, sizes.checkpoints);
+}
+
+void ColumnarRecords::extend_by(const ColumnarRecords& back) noexcept {
+  size_ += back.size_;
+  last_key_ = back.last_key_;
+  last_minute_ = back.last_minute_;
+  last_remote_ = back.last_remote_;
+}
+
 void ColumnarRecords::append(ColumnarRecords&& other) {
   if (other.size_ == 0) return;
   // Steal the whole store when this one is empty AND unreserved; a reserved
@@ -71,59 +150,32 @@ void ColumnarRecords::append(ColumnarRecords&& other) {
     other = ColumnarRecords();
     return;
   }
-  if (size_ + other.size_ > static_cast<std::size_t>(UINT32_MAX) + 1) {
-    throw Error("ColumnarRecords: record count exceeds 2^32");
-  }
-
-  // Every store's first run header is encoded relative to (0, 0); re-encode
-  // it relative to this store's last run, then bulk-copy the rest verbatim
-  // (later headers are deltas between other's own runs — unaffected).
-  const std::uint8_t* h = other.headers_.data();
-  const std::uint64_t first_key = undelta64(0, get_varint(h));
-  const std::uint64_t first_minute = undelta64(0, get_varint(h));
-  const auto old_first_len =
-      static_cast<std::size_t>(h - other.headers_.data());
-  const std::size_t headers_before = headers_.size();
-  put_varint(headers_, delta64(first_key, last_key_));
-  put_varint(headers_, delta64(first_minute, last_minute_));
-  const std::size_t new_first_len = headers_.size() - headers_before;
-  headers_.insert(headers_.end(),
-                  other.headers_.begin() +
-                      static_cast<std::ptrdiff_t>(old_first_len),
-                  other.headers_.end());
-
-  const std::uint64_t payload_base = payload_.size();
-  payload_.insert(payload_.end(), other.payload_.begin(),
-                  other.payload_.end());
-
-  const auto record_base = static_cast<std::uint32_t>(size_);
-  run_starts_.reserve(run_starts_.size() + other.run_starts_.size());
-  for (const std::uint32_t rs : other.run_starts_) {
-    run_starts_.push_back(rs + record_base);
-  }
-  payload_offs_.reserve(payload_offs_.size() + other.payload_offs_.size());
-  for (const std::uint64_t off : other.payload_offs_) {
-    payload_offs_.push_back(off + payload_base);
-  }
-
-  const std::uint64_t run_base =
-      run_starts_.size() - other.run_starts_.size();
-  // Header offsets shift by the bytes in front of other's stream, adjusted
-  // for the first header's re-encoded length.
-  const std::uint64_t header_shift =
-      headers_before + new_first_len - old_first_len;
-  checkpoints_.reserve(checkpoints_.size() + other.checkpoints_.size());
-  for (const Checkpoint& cp : other.checkpoints_) {
-    checkpoints_.push_back(Checkpoint{cp.run + run_base,
-                                      cp.next_header + header_shift, cp.key,
-                                      cp.minute});
-  }
-
-  size_ += other.size_;
-  last_key_ = other.last_key_;
-  last_minute_ = other.last_minute_;
-  last_remote_ = other.last_remote_;
+  const Placement p = other.place_behind(*this, buffer_sizes());
+  resize_buffers(nullptr, p.end);
+  other.copy_into(*this, p);
+  extend_by(other);
   other = ColumnarRecords();
+}
+
+ColumnarRecords ColumnarRecords::concat(exec::ThreadPool* pool,
+                                        std::span<ColumnarRecords> parts) {
+  // One pass in order places every part; `out` advances its record count
+  // and encoder state, and `end` its buffer sizes, as appends would.
+  ColumnarRecords out;
+  std::vector<Placement> placements(parts.size());
+  BufferSizes end;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].empty()) continue;
+    placements[i] = parts[i].place_behind(out, end);
+    end = placements[i].end;
+    out.extend_by(parts[i]);
+  }
+  out.resize_buffers(pool, end);
+  exec::parallel_for(pool, parts.size(), [&](std::size_t i) {
+    if (!parts[i].empty()) parts[i].copy_into(out, placements[i]);
+    parts[i] = ColumnarRecords();
+  });
+  return out;
 }
 
 ColumnarRecords::BufferSizes ColumnarRecords::buffer_sizes() const noexcept {

@@ -25,8 +25,9 @@
 // needed ~0.85 GiB, and decoding is a zero-allocation forward scan over
 // dense bytes. See DESIGN.md §5c for the full layout rationale.
 //
-// Stores are built shard-locally and concatenated in shard order via
-// append(); the *decoded* sequence is byte-identical for any thread count
+// Stores are built shard-locally and concatenated in shard order, all at
+// once by concat() or one at a time by append(); both lay out the same
+// bytes, and the *decoded* sequence is byte-identical for any thread count
 // (the internal buffer layout may differ — e.g. checkpoint spacing — which
 // is why equivalence is defined on decoded records, windows, and exhibit
 // outputs, all locked down by tests).
@@ -39,10 +40,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netflow/flow_record.h"
 #include "netflow/varint.h"
+
+namespace dm::exec {
+class ThreadPool;
+}
 
 namespace dm::netflow {
 
@@ -121,16 +127,26 @@ class ColumnarRecords {
   /// not — round-trips exactly.
   void push_back(const FlowRecord& record, Direction direction);
 
-  /// Appends another store's records after this one's — the shard-order
-  /// concatenation step. Indices and offsets are rebased in bulk; only the
-  /// first run header of `other` is re-encoded. `other` is left empty.
+  /// Appends another store's records after this one's, one store at a
+  /// time (SpillWriter's step). Indices and offsets are rebased in bulk;
+  /// only the first run header of `other` is re-encoded. `other` is left
+  /// empty.
   void append(ColumnarRecords&& other);
+
+  /// Concatenates `parts` in order into one store with exactly sized
+  /// buffers — the resident shard merge. Its bytes and encoder state equal
+  /// those of appending the parts one by one to an empty store: prefix sums
+  /// over the parts place each one, and the same rebase as append() copies
+  /// it into place. `pool` (may be null = serial) faults in the buffers'
+  /// pages and runs the copies; each part is freed by the task that copied
+  /// it, so every part is left empty.
+  [[nodiscard]] static ColumnarRecords concat(exec::ThreadPool* pool,
+                                              std::span<ColumnarRecords> parts);
 
   void shrink_to_fit();
 
-  /// Current buffer sizes — summed by merge loops to pre-size the
-  /// destination via reserve() so shard appends never geometrically
-  /// over-allocate the multi-hundred-MiB payload buffer.
+  /// Current buffer sizes: what concat() sums to size its buffers exactly,
+  /// and what a segment file records.
   struct BufferSizes {
     std::uint64_t header_bytes = 0;
     std::uint64_t payload_bytes = 0;
@@ -286,7 +302,35 @@ class ColumnarRecords {
 
   using Checkpoint = ColumnarCheckpoint;
 
+  /// Where a store's bytes land when it is appended behind a `front` store:
+  /// its offset in each buffer, and its first run header, which is encoded
+  /// relative to (0, 0), re-encoded relative to the front's last run.
+  struct Placement {
+    BufferSizes at;           ///< the front's buffer sizes
+    BufferSizes end;          ///< the buffer sizes once this store is in
+    std::size_t records = 0;  ///< the front's record count
+    std::uint8_t first_header[2 * kMaxVarintBytes] = {};
+    std::size_t first_header_bytes = 0;  ///< re-encoded length
+    std::size_t old_header_bytes = 0;    ///< length of the header it replaces
+  };
+
   void begin_run(std::uint64_t key, std::uint64_t minute);
+
+  /// Places this non-empty store behind `front`'s records and last run,
+  /// with `at` as the buffer sizes in front of it. Throws when the records
+  /// would overflow the 32-bit index space.
+  [[nodiscard]] Placement place_behind(const ColumnarRecords& front,
+                                       const BufferSizes& at) const;
+  /// The one rebase: copies this store into `dest`'s buffers, already sized
+  /// to hold it, at `p`, shifting record indices, payload offsets and
+  /// checkpoint runs and header offsets. Tasks copying different stores
+  /// into one `dest` touch disjoint bytes.
+  void copy_into(ColumnarRecords& dest, const Placement& p) const noexcept;
+  /// Resizes the five buffers to `sizes`; see exec::resize_first_touch.
+  void resize_buffers(exec::ThreadPool* pool, const BufferSizes& sizes);
+  /// Takes `back`'s record count and encoder state as this store's next
+  /// records and run, once its bytes have been placed behind this store's.
+  void extend_by(const ColumnarRecords& back) noexcept;
 
   std::vector<std::uint8_t> headers_;
   std::vector<std::uint8_t> payload_;

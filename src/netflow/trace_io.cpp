@@ -10,6 +10,7 @@
 #include <ostream>
 #include <streambuf>
 
+#include "exec/parallel.h"
 #include "netflow/varint.h"
 #include "util/error.h"
 
@@ -33,13 +34,13 @@ std::optional<SizeBounds> block_bounds(std::uint64_t count) noexcept {
                     kMaxVarintBytes + kMaxRecordPayloadBytes * count};
 }
 
-/// Decodes one CRC-verified block payload, appending `count` records to
-/// `out`. Returns why the payload does not decode (kMalformedPayload or
-/// kTrailingBytes), or nothing when it does; `out` may then hold a partial
-/// block.
+/// Decodes one CRC-verified block payload into the `count` records at
+/// `out`, which the caller has sized. Returns why the payload does not decode
+/// (kMalformedPayload or kTrailingBytes), or nothing when it does; `out`
+/// may then hold a partial block.
 std::optional<FrameError::Kind> decode_payload(
     std::span<const std::uint8_t> payload, std::uint64_t count,
-    std::vector<FlowRecord>& out) {
+    FlowRecord* out) {
   CheckedCursor cursor{payload, "trace"};
   try {
     const auto base = static_cast<std::uint64_t>(unzigzag64(cursor.varint()));
@@ -54,7 +55,7 @@ std::optional<FrameError::Kind> decode_payload(
       r.tcp_flags = static_cast<TcpFlags>(cursor.varint());
       r.packets = static_cast<std::uint32_t>(cursor.varint());
       r.bytes = cursor.varint();
-      out.push_back(r);
+      out[i] = r;
     }
   } catch (const FormatError&) {
     // A varint ran off the payload. The cursor throws rather than returning
@@ -90,8 +91,11 @@ SpanBody read_block(std::span<const std::uint8_t> buf, std::size_t pos,
   }
   block = read_frame_body(buf, pos, *bounds);
   if (!block.error) {
+    // Sized only once the CRC passed: salvage probes byte by byte over
+    // damage, and nearly every probe fails before this.
     const std::size_t before = out.size();
-    block.error = decode_payload(block.payload, count, out);
+    out.resize(before + count);
+    block.error = decode_payload(block.payload, count, out.data() + before);
     if (block.error) out.resize(before);
   }
   return block;
@@ -115,27 +119,57 @@ class SpanSource : public std::streambuf {
   }
 };
 
-/// Records in the blocks at the front of `bytes` up to the end marker, for
-/// sizing a result once. Walks only the block headers, under block_bounds
-/// and the size bounds, with no CRC check; stops early at the first header
-/// it cannot walk past. Every counted block lies inside `bytes`, so the
-/// total never exceeds the bytes over the smallest record.
-std::uint64_t count_records(std::span<const std::uint8_t> bytes) {
-  std::uint64_t total = 0;
-  std::size_t pos = 0;
+/// One block that walk_blocks walked past.
+struct WalkedBlock {
+  std::size_t offset = 0;  ///< first byte of its record-count varint
+  std::size_t body = 0;    ///< first byte of its payload-size varint
   std::uint64_t count = 0;
-  while (try_get_varint(bytes, pos, count) && count != 0) {
+  std::uint64_t first = 0;  ///< records in the walked blocks before it
+};
+
+/// The blocks at the front of a buffered trace, up to the end marker.
+struct BlockWalk {
+  std::vector<WalkedBlock> blocks;
+  std::uint64_t records = 0;  ///< records in `blocks`
+  /// Where the walk stopped: the end marker, or the first header it could
+  /// not walk past.
+  std::size_t stop = 0;
+  bool end_marker = false;  ///< whether `stop` is the end marker
+};
+
+/// The one walk over a buffered trace's block headers: under block_bounds
+/// and the size bounds, with no CRC check, up to the end marker or the
+/// first header it cannot walk past. Every walked block lies inside
+/// `bytes`, so `records` never exceeds the bytes over the smallest record:
+/// a result sized by it is bounded by the input.
+BlockWalk walk_blocks(std::span<const std::uint8_t> bytes) {
+  BlockWalk walk;
+  std::size_t pos = 0;
+  for (;;) {
+    walk.stop = pos;
+    std::uint64_t count = 0;
+    if (!try_get_varint(bytes, pos, count)) break;
+    if (count == 0) {
+      walk.end_marker = true;
+      break;
+    }
     const std::optional<SizeBounds> bounds = block_bounds(count);
+    const std::size_t body = pos;
     std::uint64_t size = 0;
     if (!bounds || !try_get_varint(bytes, pos, size) || size < bounds->min ||
         size > bounds->max || bytes.size() - pos < size + kFrameCrcBytes) {
       break;
     }
     pos += static_cast<std::size_t>(size) + kFrameCrcBytes;
-    total += count;
+    walk.blocks.push_back({walk.stop, body, count, walk.records});
+    walk.records += count;
   }
-  return total;
+  return walk;
 }
+
+/// Below this many blocks read_all decodes on the calling thread: starting
+/// workers would cost more than they save.
+constexpr std::size_t kInlineBlocks = 32;
 
 /// Everything left in a stream, in one malloc'd buffer.
 class StreamBytes {
@@ -292,8 +326,11 @@ bool TraceReader::load_block() {
                            std::to_string(count));
     }
     offset_ += read_frame_body(in_, payload_, *bounds, "trace");
-    block_.clear();
-    if (const auto bad = decode_payload(payload_, count, block_)) {
+    // Blocks are full but for the last, so this rarely changes the size and
+    // value-initializes nothing after the first block.
+    block_.resize(count);
+    if (const auto bad = decode_payload(payload_, count, block_.data())) {
+      block_.clear();  // next() must not serve a partly decoded block
       throw FrameError(*bad, std::string("trace: ") + describe(*bad));
     }
     report_.records_recovered += count;
@@ -326,7 +363,7 @@ void TraceReader::salvage_all() {
   }
 
   // Sized for the intact front of the trace: all of a clean one.
-  block_.reserve(count_records(bytes.subspan(pos)));
+  block_.reserve(walk_blocks(bytes.subspan(pos)).records);
 
   // Scan: decode blocks where possible; on damage, probe byte-by-byte for
   // the next position where a whole block (header, plausible sizes, CRC,
@@ -413,40 +450,62 @@ std::vector<FlowRecord> TraceReader::read_all() {
     return all;
   }
 
-  // The rest of the stream in one buffer, its records counted from the
-  // block headers so the result is sized once; then every block is
-  // CRC-checked and decoded straight into it, behind the rest of the
-  // current block.
+  // The rest of the stream in one buffer and its block headers walked
+  // once, so the result is sized once and every block's records have their
+  // place in it, behind the rest of the current block. Then every block is
+  // CRC-checked and decoded into its place on the pool.
   const StreamBytes rest(in_);
   const std::span<const std::uint8_t> bytes = rest.bytes();
-  all.reserve(block_.size() - cursor_ + count_records(bytes));
-  all.insert(all.end(), block_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-             block_.end());
+  const BlockWalk walk = walk_blocks(bytes);
+  const std::vector<WalkedBlock>& blocks = walk.blocks;
+  exec::ThreadPool pool(blocks.size() < kInlineBlocks
+                            ? 0
+                            : exec::ThreadPool::hardware_threads() - 1);
+  const std::size_t head = block_.size() - cursor_;
+  exec::resize_first_touch(&pool, all,
+                           head + static_cast<std::size_t>(walk.records));
+  std::copy(block_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+            block_.end(), all.begin());
   block_.clear();
   cursor_ = 0;
-  std::size_t pos = 0;
-  for (;;) {
-    std::uint64_t count = 0;
-    const SpanBody block = read_block(bytes, pos, count, all);
-    if (block.error) {
-      // Replay the block through the stream reader, which words and
-      // locates every error: block index, absolute offset, both CRCs, the
-      // size wanted. It checks the same bounds, so it throws.
-      SpanSource source(bytes.subspan(pos));
-      std::istream replay(&source);
-      TraceReader(replay, block_index_, offset_ + pos).load_block();
-      throw FrameError(*block.error, std::string("trace: ") +
-                                         describe(*block.error));
-    }
-    if (count == 0) {
-      offset_ += block.end;  // through the end marker
-      break;
-    }
-    pos = block.end;
-    ++block_index_;
-    ++report_.blocks_decoded;
-    report_.records_recovered += count;
-    report_.bytes_scanned = offset_ + pos;
+  FlowRecord* const placed = all.data() + head;
+  const std::vector<std::size_t> first_failed =
+      exec::parallel_map_chunks<std::size_t>(
+          &pool, blocks.size(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              const WalkedBlock& b = blocks[i];
+              const SpanBody body =
+                  read_frame_body(bytes, b.body, *block_bounds(b.count));
+              if (body.error ||
+                  decode_payload(body.payload, b.count, placed + b.first)) {
+                return i;
+              }
+            }
+            return blocks.size();
+          });
+  const std::size_t failed =
+      first_failed.empty()
+          ? blocks.size()
+          : *std::min_element(first_failed.begin(), first_failed.end());
+
+  // The report counts the blocks in front of the first failure, as next()
+  // would have; they end where the replay starts.
+  const std::size_t end =
+      failed < blocks.size() ? blocks[failed].offset : walk.stop;
+  if (failed > 0) report_.bytes_scanned = offset_ + end;
+  report_.blocks_decoded += failed;
+  report_.records_recovered +=
+      failed < blocks.size() ? blocks[failed].first : walk.records;
+  if (failed < blocks.size() || !walk.end_marker) {
+    // Replay the first block that failed, or else the header the walk
+    // stopped at, through the stream reader, which words and locates every
+    // error: block index, absolute offset, both CRCs, the size wanted. It
+    // checks the same bounds, so it throws.
+    SpanSource source(bytes.subspan(end));
+    std::istream replay(&source);
+    TraceReader(replay, block_index_ + failed, offset_ + end).load_block();
+    throw FrameError(FrameError::Kind::kMalformedPayload,
+                     "trace: damaged block");
   }
   eof_ = true;
   report_.end_marker_seen = true;

@@ -123,14 +123,22 @@ class TraceReader {
 
   /// Reads all remaining records, the rest of the current block first, into
   /// a vector sized once to hold them exactly. In strict mode the rest of
-  /// the stream is read into one buffer and every block decoded from it;
-  /// damage throws the same FrameError, with the same text, next() would.
+  /// the stream is read into one buffer, its block headers are walked once,
+  /// and every block is CRC-checked and decoded into its own range of the
+  /// result. From 32 blocks on, that runs on a pool of
+  /// hardware_threads() - 1 workers that lives for the call, plus the
+  /// calling thread: the call may use every hardware thread while it runs.
+  /// Shorter reads stay on the calling thread. Damage throws the same
+  /// FrameError, with the same text, next() would: the lowest-index block
+  /// that fails, or else the header the walk stopped at, is replayed
+  /// through the block reader next() uses.
   [[nodiscard]] std::vector<FlowRecord> read_all();
 
  private:
   /// A strict reader resumed at block `block_index`, `offset` bytes into
-  /// its trace: read_all replays a block it rejected through one, so the
-  /// error is worded and located exactly as next() would throw it.
+  /// its trace: read_all replays a block or header it rejected through
+  /// one, so the error is worded and located exactly as next() would throw
+  /// it.
   TraceReader(std::istream& in, std::uint64_t block_index,
               std::uint64_t offset) noexcept
       : in_(in), offset_(offset), block_index_(block_index) {}

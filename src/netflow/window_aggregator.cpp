@@ -299,59 +299,56 @@ WindowedTrace merge_shards(
   const std::size_t wave =
       writer ? 2 * std::max<std::size_t>(workers, 1) : shards;
 
-  // Slices are consumed in range order as their wave lands: windows are
-  // rebased to global record offsets, and spilled columns go straight to
-  // the writer, so at most one wave of encoded shards is resident.
-  std::vector<ShardWindows> slices;
+  // Slices are taken in range order as their wave lands. Spilled columns
+  // go straight to the writer, so at most one wave of encoded shards is
+  // resident; resident ones are held for one concatenation.
+  std::vector<std::vector<VipMinuteStats>> windows;
+  std::vector<std::uint32_t> record_base;
+  std::vector<ColumnarRecords> columns;
   std::size_t records = 0;
   std::uint64_t unclassified = 0;
   exec::parallel_map_waves_n<ShardWindows>(
       pool, n, shards, wave, run_shard, [&](std::size_t, ShardWindows&& s) {
-        const auto base = static_cast<std::uint32_t>(records);
-        for (VipMinuteStats& w : s.windows) {
-          w.first_record += base;
-          w.last_record += base;
-        }
+        record_base.push_back(static_cast<std::uint32_t>(records));
         records += s.columns.size();
         unclassified += s.unclassified;
+        windows.push_back(std::move(s.windows));
         if (writer) {
           writer->append(std::move(s.columns));
-          if ((slices.size() + 1) % 64 == 0) util::release_free_heap();
+          if (windows.size() % 64 == 0) util::release_free_heap();
+        } else {
+          columns.push_back(std::move(s.columns));
         }
-        slices.push_back(std::move(s));
       });
 
-  // Range-ordered concatenation into buffers reserved to the exact summed
-  // size, so the appends never over-allocate.
-  std::size_t total_windows = 0;
-  ColumnarRecords::BufferSizes total_bytes;
-  for (const ShardWindows& s : slices) {
-    total_windows += s.windows.size();
-    const auto b = s.columns.buffer_sizes();
-    total_bytes.header_bytes += b.header_bytes + 20;  // re-encoded first header
-    total_bytes.payload_bytes += b.payload_bytes;
-    total_bytes.runs += b.runs;
-    total_bytes.checkpoints += b.checkpoints;
+  // Windows, then columns, each concatenated on the pool into exactly
+  // sized buffers, its slices freed by the tasks that copy them; the heap
+  // is trimmed after each, so the pages of freed slices do not stack under
+  // the next copy.
+  std::vector<std::size_t> window_base(windows.size() + 1, 0);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    window_base[i + 1] = window_base[i] + windows[i].size();
   }
-  std::vector<VipMinuteStats> windows;
-  windows.reserve(total_windows);
-  ColumnarRecords columns;
-  if (!writer) columns.reserve(total_bytes);
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    windows.insert(windows.end(), slices[i].windows.begin(),
-                   slices[i].windows.end());
-    columns.append(std::move(slices[i].columns));
-    // Free each consumed slice, and trim now and then, so pages the worker
-    // arenas keep for freed slices do not stack under the merged copy.
-    slices[i] = ShardWindows();
-    if ((i + 1) % 64 == 0) util::release_free_heap();
-  }
+  std::vector<VipMinuteStats> merged;
+  exec::resize_first_touch(pool, merged, window_base.back());
+  exec::parallel_for(pool, windows.size(), [&](std::size_t i) {
+    VipMinuteStats* out = merged.data() + window_base[i];
+    for (const VipMinuteStats& w : windows[i]) {
+      *out = w;
+      out->first_record += record_base[i];
+      out->last_record += record_base[i];
+      ++out;
+    }
+    windows[i] = std::vector<VipMinuteStats>();
+  });
   util::release_free_heap();
   if (writer) {
-    return WindowedTrace(std::move(*writer).finish(), std::move(windows),
+    return WindowedTrace(std::move(*writer).finish(), std::move(merged),
                          unclassified);
   }
-  return WindowedTrace(std::move(columns), std::move(windows), unclassified);
+  ColumnarRecords all = ColumnarRecords::concat(pool, columns);
+  util::release_free_heap();
+  return WindowedTrace(std::move(all), std::move(merged), unclassified);
 }
 
 WindowedTrace aggregate_windows(std::vector<FlowRecord> records,

@@ -261,10 +261,10 @@ class WindowedTrace {
 /// drawn from a deterministic sample, so even a VIP carrying most of the
 /// traffic spreads over several shards — by a stable counting scatter, and
 /// each shard runs through aggregate_shard; merge_shards concatenates them.
-/// `pool` (may be null = serial) runs the classify, scatter and shard
-/// phases. The record order is canonical — (vip, direction, minute, remote,
-/// arrival index) — so the result is byte-identical for any thread count
-/// and any input sharding. A non-null enabled `spill` streams the shards'
+/// `pool` (may be null = serial) runs the classify, scatter, shard and
+/// merge phases. The record order is canonical — (vip, direction, minute,
+/// remote, arrival index) — so the result is byte-identical for any thread
+/// count and any input sharding. A non-null enabled `spill` streams the shards'
 /// columns through a SpillWriter instead of concatenating them in RAM; the
 /// resulting trace decodes byte-identically either way.
 [[nodiscard]] WindowedTrace aggregate_windows(std::vector<FlowRecord> records,
@@ -276,8 +276,9 @@ class WindowedTrace {
 /// One shard's fully aggregated slice: kept records (with directions) in
 /// canonical order inside a shard-local columnar store, windows whose
 /// first/last_record indices are SHARD-LOCAL, and the shard's
-/// dropped-record count. Merging = ColumnarRecords::append in shard order
-/// plus rebasing the window index ranges.
+/// dropped-record count. merge_shards concatenates slices in shard order:
+/// windows with their index ranges rebased, columns by
+/// ColumnarRecords::concat (or SpillWriter::append when spilling).
 struct ShardWindows {
   ColumnarRecords columns;
   std::vector<VipMinuteStats> windows;
@@ -311,10 +312,14 @@ struct ShardWindows {
 /// on the pool over `shards` contiguous ranges of [0, n) and concatenates
 /// the slices in range order — window record ranges rebased to global
 /// offsets, unclassified counts summed. Each slice must cover a contiguous
-/// range of the canonical key order. Resident, every slice is held until one
-/// exact-size concatenation; with a non-null enabled `spill`, shards run in
-/// waves of two per worker and each wave's columns stream through a
-/// SpillWriter as it lands. The decoded trace is identical either way.
+/// range of the canonical key order. Prefix sums over the slices size the
+/// windows, and resident columns, exactly; the pool faults their pages in
+/// and copies every slice into its range, freeing it in the task that
+/// copied it — windows first, then columns, with the heap trimmed after
+/// each, so only one of the two is ever held twice. With a non-null enabled
+/// `spill`, shards run in waves of two per worker and each wave's columns
+/// stream through a SpillWriter as it lands; the windows are concatenated
+/// the same way. The decoded trace is identical either way.
 [[nodiscard]] WindowedTrace merge_shards(
     exec::ThreadPool* pool, std::size_t n, std::size_t shards,
     const std::function<ShardWindows(std::size_t, std::size_t)>& run_shard,

@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "netflow/columnar_records.h"
 #include "netflow/segment_store.h"
 #include "util/rng.h"
@@ -286,6 +289,105 @@ TEST(ColumnarRecords, AppendIntoReservedStoreMatches) {
   merged.append(std::move(a));
   merged.append(std::move(b));
   expect_decodes_to(merged, input);
+}
+
+/// Every encoded buffer of a store, compared byte for byte.
+struct Buffers {
+  std::vector<std::uint8_t> headers;
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint32_t> run_starts;
+  std::vector<std::uint64_t> payload_offs;
+  std::vector<std::uint64_t> checkpoints;  ///< run, next_header, key, minute
+  std::size_t records = 0;
+
+  friend bool operator==(const Buffers&, const Buffers&) = default;
+};
+
+Buffers buffers_of(const ColumnarRecords& store) {
+  const ColumnarView v = store.view();
+  Buffers b;
+  b.headers.assign(v.headers, v.headers + v.header_bytes);
+  b.payload.assign(v.payload, v.payload + v.payload_bytes);
+  b.run_starts.assign(v.run_starts, v.run_starts + v.runs);
+  b.payload_offs.assign(v.payload_offs, v.payload_offs + v.runs);
+  for (std::size_t i = 0; i < v.checkpoint_count; ++i) {
+    const ColumnarCheckpoint& cp = v.checkpoints[i];
+    b.checkpoints.insert(b.checkpoints.end(),
+                         {cp.run, cp.next_header, cp.key, cp.minute});
+  }
+  b.records = v.records;
+  return b;
+}
+
+TEST(ColumnarRecords, ConcatEqualsAppendsOnEveryPool) {
+  util::Rng rng(909);
+  // Sets of parts, each concatenated in order: canonical pieces cut at
+  // random points (mid-run, several checkpoints each, empty pieces among
+  // them), a single part, only empty parts, and parts whose first run
+  // header re-encodes shorter (a canonical piece behind another) or longer
+  // (a key-0, minute-0 record behind a large key).
+  std::vector<std::vector<Oriented>> inputs;
+  std::vector<std::vector<std::size_t>> cut_sets;
+  for (int round = 0; round < 3; ++round) {
+    auto input = canonical_batch(rng, 300, 3);
+    std::vector<std::size_t> cuts{0, 0, input.size()};
+    for (int c = 0; c < 6; ++c) cuts.push_back(rng.below(input.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    inputs.push_back(std::move(input));
+    cut_sets.push_back(std::move(cuts));
+  }
+  inputs.push_back(canonical_batch(rng, 200, 2));
+  cut_sets.push_back({0, inputs.back().size()});
+  inputs.emplace_back();
+  cut_sets.push_back({0, 0, 0, 0});
+  {
+    auto input = canonical_batch(rng, 100, 2);
+    const std::size_t front = input.size();
+    Oriented low;
+    low.record = make_record(0, 0x55000000, 0, 1, 2, Protocol::kUdp,
+                             TcpFlags::kNone, 1, 60);
+    input.push_back(low);
+    for (int i = 0; i < 40; ++i) input.push_back(random_oriented(rng));
+    inputs.push_back(std::move(input));
+    cut_sets.push_back({0, front, front + 1, inputs.back().size()});
+  }
+
+  for (const int workers : {-1, 0, 1, 2, 3, 8}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    std::optional<exec::ThreadPool> pool;
+    if (workers >= 0) pool.emplace(static_cast<unsigned>(workers));
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE("parts " + std::to_string(k));
+      const auto& input = inputs[k];
+      const auto& cuts = cut_sets[k];
+      std::vector<ColumnarRecords> parts;
+      std::uint64_t part_header_bytes = 0;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        ColumnarRecords& part = parts.emplace_back();
+        for (std::size_t i = cuts[c]; i < cuts[c + 1]; ++i) {
+          part.push_back(input[i].record, input[i].direction);
+        }
+        part_header_bytes += part.buffer_sizes().header_bytes;
+      }
+      ColumnarRecords appended;
+      for (ColumnarRecords part : parts) appended.append(std::move(part));
+
+      ColumnarRecords concatenated =
+          ColumnarRecords::concat(pool ? &*pool : nullptr, parts);
+      for (const ColumnarRecords& part : parts) EXPECT_TRUE(part.empty());
+      EXPECT_EQ(buffers_of(concatenated), buffers_of(appended));
+      expect_decodes_to(concatenated, input);
+      if (k + 1 == inputs.size()) {
+        EXPECT_NE(concatenated.buffer_sizes().header_bytes, part_header_bytes);
+      }
+
+      // Both carry the same encoder state on.
+      const Oriented next = random_oriented(rng);
+      appended.push_back(next.record, next.direction);
+      concatenated.push_back(next.record, next.direction);
+      EXPECT_EQ(buffers_of(concatenated), buffers_of(appended));
+    }
+  }
 }
 
 TEST(ColumnarRecords, RangeSupportsVectorConstruction) {

@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "netflow/varint.h"
 #include "util/error.h"
@@ -287,6 +289,133 @@ TEST(TraceIo, ReadAllAndNextWordDamageAlike) {
       return std::make_pair(FrameError::Kind::kTrailingBytes, std::string("no error"));
     };
     EXPECT_EQ(verdict(true), verdict(false));
+  }
+}
+
+/// The FrameError text a strict read of `bytes` throws, by read_all or by
+/// draining next(); "no error" when it throws none.
+std::string strict_error_text(const std::vector<std::uint8_t>& bytes,
+                              bool all) {
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  try {
+    TraceReader reader(in);
+    if (all) {
+      (void)reader.read_all();
+    } else {
+      FlowRecord r;
+      while (reader.next(r)) {
+      }
+    }
+  } catch (const FrameError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+/// The text next() throws for a CRC hit in the block at `span`.
+std::string crc_error_text(const std::vector<std::uint8_t>& bytes,
+                           const BlockSpan& span, std::uint64_t block) {
+  const std::span<const std::uint8_t> payload(
+      bytes.data() + span.payload_offset, span.payload_size);
+  char crcs[64];
+  std::snprintf(crcs, sizeof crcs, "expected 0x%08x, actual 0x%08x",
+                load_le<std::uint32_t>(payload.data() + payload.size()),
+                crc32(payload));
+  return "trace: CRC mismatch: " + std::string(crcs) + " (block " +
+         std::to_string(block) + " at byte " + std::to_string(span.offset) +
+         ")";
+}
+
+// read_all decodes traces of 32 blocks or more on a pool; 31 blocks stay on
+// the calling thread, so both sides of the threshold are covered.
+TEST(TraceIo, ReadAllOnAndOffThePoolMatchesNext) {
+  for (const std::size_t blocks : {std::size_t{31}, std::size_t{100}}) {
+    SCOPED_TRACE(blocks);
+    const auto bytes = trace_bytes(sample_records(blocks * 4096, blocks));
+    std::vector<FlowRecord> drained;
+    {
+      std::stringstream in(std::string(bytes.begin(), bytes.end()));
+      TraceReader reader(in);
+      FlowRecord r;
+      while (reader.next(r)) drained.push_back(r);
+    }
+    ASSERT_EQ(drained.size(), blocks * 4096);
+    for (const std::size_t taken :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4095},
+          std::size_t{4096}, std::size_t{5000}}) {
+      SCOPED_TRACE(taken);
+      std::stringstream in(std::string(bytes.begin(), bytes.end()));
+      TraceReader reader(in);
+      FlowRecord r;
+      for (std::size_t i = 0; i < taken; ++i) ASSERT_TRUE(reader.next(r));
+      const std::vector<FlowRecord> rest = reader.read_all();
+      EXPECT_EQ(rest, std::vector<FlowRecord>(
+                          drained.begin() + static_cast<std::ptrdiff_t>(taken),
+                          drained.end()));
+      EXPECT_EQ(rest.capacity(), rest.size());
+      EXPECT_TRUE(reader.report().end_marker_seen);
+      EXPECT_EQ(reader.report().records_recovered, drained.size());
+      EXPECT_EQ(reader.report().blocks_decoded, blocks);
+      EXPECT_EQ(reader.report().bytes_scanned, bytes.size() - 1);
+    }
+  }
+}
+
+// On a 100-block trace read_all decodes on the pool, yet throws the text
+// next() throws: that of the lowest-index damaged block, or of the header
+// the block walk stopped at.
+TEST(TraceIo, ReadAllOnThePoolWordsDamageAsNext) {
+  const auto good = trace_bytes(sample_records(100 * 4096));
+  const auto layout = trace_layout(good);
+  ASSERT_EQ(layout.size(), 100u);
+  // A full block's count, 4096, is the varint 80 20; ff 7f is 16383.
+  ASSERT_EQ(good[layout[70].offset], 0x80);
+  ASSERT_EQ(good[layout[70].offset + 1], 0x20);
+
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    std::string text;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"CRC hits in blocks 40 and 10", good, ""};
+    c.bytes[layout[40].payload_offset + 5] ^= 0x10;
+    c.bytes[layout[10].payload_offset + 7] ^= 0x10;
+    c.text = crc_error_text(c.bytes, layout[10], 10);
+    cases.push_back(std::move(c));
+  }
+  cases.push_back(
+      {"payload cut inside block 60",
+       {good.begin(), good.begin() + static_cast<std::ptrdiff_t>(
+                                         layout[60].payload_offset + 9)},
+       "trace: truncated payload (wanted " +
+           std::to_string(layout[60].payload_size) + " bytes) (block 60 at byte " +
+           std::to_string(layout[60].offset) + ")"});
+  cases.push_back({"last byte cut",
+                   {good.begin(), good.end() - 1},
+                   "trace: missing end marker (block 100 at byte " +
+                       std::to_string(good.size() - 1) + ")"});
+  {
+    Case c{"count ff 7f at block 70, CRC hit at block 20", good, ""};
+    c.bytes[layout[70].offset] = 0xff;
+    c.bytes[layout[70].offset + 1] = 0x7f;
+    c.bytes[layout[20].payload_offset + 3] ^= 0x01;
+    c.text = crc_error_text(c.bytes, layout[20], 20);
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"count ff 7f at block 70", good, ""};
+    c.bytes[layout[70].offset] = 0xff;
+    c.bytes[layout[70].offset + 1] = 0x7f;
+    c.text = "trace: implausible record count 16383 (block 70 at byte " +
+             std::to_string(layout[70].offset) + ")";
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(strict_error_text(c.bytes, false), c.text);
+    EXPECT_EQ(strict_error_text(c.bytes, true), c.text);
   }
 }
 

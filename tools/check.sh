@@ -2,7 +2,9 @@
 # CI gate for the parallel pipeline: build the test suite under
 # ThreadSanitizer and run the concurrency-sensitive tests — the exec pool
 # unit tests, the sharded-aggregation suites (aggregate_windows classifies,
-# scatters and aggregates its key-range shards on pool threads), the
+# scatters, aggregates and merges its key-range shards on pool threads),
+# the trace and columnar-store suites (TraceReader::read_all decodes blocks
+# on a pool; ColumnarRecords::concat copies stores on one), the
 # serial-equivalence integration tests, and the serve supervisor suites
 # whose shard runs ingest on pool threads — then build under ASan+UBSan and
 # run the memory-sensitive codec tests (the columnar record store does raw
@@ -13,8 +15,8 @@
 #   2. clang-tidy over src/exec, src/netflow, src/detect (runs only when a
 #      clang-tidy binary is available)
 #   3. TSan build + concurrency suites (exec pool, sharded aggregation and
-#      its reference suites, serial equivalence, Supervisor pipelined shard
-#      ingest, and the
+#      its reference suites, block-parallel trace reads, columnar concat,
+#      serial equivalence, Supervisor pipelined shard ingest, and the
 #      crash matrix's MidGenerationAndRepeatedKillPoints case; the full
 #      RotationCrashMatrix runs in the DM_SERVE ASan stage)
 #   4. ASan+UBSan build + codec suites (columnar store, the SWAR block
@@ -38,7 +40,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
-FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Aggregate|Supervisor|MidGenerationAndRepeatedKillPoints}"
+FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Aggregate|TraceIo|ColumnarRecords|Supervisor|MidGenerationAndRepeatedKillPoints}"
 ASAN_FILTER="${2:-ColumnarRecords|ColumnarBlocks|VarintSwar|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
