@@ -45,10 +45,14 @@ void BM_TraceWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 
+/// read_all over `blocks` blocks of 4096 records: 25 blocks stay below its
+/// 32-block pool threshold and decode inline, 100 decode on the pool.
 void BM_TraceRead(benchmark::State& state) {
-  const auto records = synth_records(100'000);
+  constexpr std::size_t kBlockRecords = 4096;
+  const auto records =
+      synth_records(static_cast<std::size_t>(state.range(0)) * kBlockRecords);
   std::ostringstream out;
-  netflow::TraceWriter writer(out, 4096);
+  netflow::TraceWriter writer(out, kBlockRecords);
   writer.write_all(records);
   writer.finish();
   const std::string payload = out.str();
@@ -61,7 +65,11 @@ void BM_TraceRead(benchmark::State& state) {
                             static_cast<std::int64_t>(loaded.size()));
   }
 }
-BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceRead)
+    ->ArgName("blocks")
+    ->Arg(25)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<std::uint8_t> data(1 << 20);

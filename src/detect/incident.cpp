@@ -32,7 +32,8 @@ void IncidentBuilder::feed(const MinuteDetection& d,
   LiveIncident& live = it->second;
   AttackIncident& inc = live.incident;
   // The gap counts the silent minutes strictly between the two detections.
-  if (!fresh && d.minute - inc.end > timeouts_.of(d.type)) {
+  if (!fresh &&
+      util::saturating_sub(d.minute, inc.end) > timeouts_.of(d.type)) {
     closed.push_back(inc);
     fresh = true;
   }
@@ -44,7 +45,7 @@ void IncidentBuilder::feed(const MinuteDetection& d,
     inc.start = d.minute;
     live.peaks.clear();
   }
-  inc.end = d.minute + 1;
+  inc.end = util::saturating_add(d.minute, 1);
   inc.active_minutes += 1;
   inc.total_sampled_packets += d.sampled_packets;
   inc.peak_unique_remotes = std::max(inc.peak_unique_remotes, d.unique_remotes);
@@ -68,7 +69,7 @@ void IncidentBuilder::expire(util::Minute now,
   expired_at_ = now;
   for (auto it = live_.begin(); it != live_.end();) {
     const AttackIncident& inc = it->second.incident;
-    if (now - inc.end > timeouts_.of(inc.type)) {
+    if (util::saturating_sub(now, inc.end) > timeouts_.of(inc.type)) {
       closed.push_back(inc);
       it = live_.erase(it);
     } else {
@@ -129,9 +130,12 @@ std::vector<double> inactive_gaps(std::span<const MinuteDetection> detections,
   for (std::size_t i = 1; i < filtered.size(); ++i) {
     const MinuteDetection& prev = filtered[i - 1];
     const MinuteDetection& cur = filtered[i];
+    // Within a series minutes ascend; the distance saturates at the ceiling.
+    const util::Minute distance =
+        util::saturating_sub(cur.minute, prev.minute);
     if (prev.vip == cur.vip && prev.direction == cur.direction &&
-        cur.minute > prev.minute + 1) {
-      gaps.push_back(static_cast<double>(cur.minute - prev.minute - 1));
+        distance > 1) {
+      gaps.push_back(static_cast<double>(distance - 1));
     }
   }
   return gaps;

@@ -28,7 +28,9 @@ struct AttackIncident {
   sim::AttackType type = sim::AttackType::kSynFlood;
 
   util::Minute start = 0;  ///< first detected minute
-  util::Minute end = 0;    ///< last detected minute + 1
+  /// Last detected minute + 1, saturated: an incident whose last minute is
+  /// the Minute ceiling ends there too, so its duration() is one short.
+  util::Minute end = 0;
   std::uint32_t active_minutes = 0;  ///< minutes actually flagged
 
   std::uint64_t total_sampled_packets = 0;

@@ -26,6 +26,30 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x4b434d44;  // "DMCK" little-endian
 constexpr std::uint16_t kCheckpointVersion = 2;
 
+/// A recycled minute keeps at most twice the windows it last held (and at
+/// least this many), so one busy minute does not pin its storage.
+constexpr std::size_t kKeptWindows = 64;
+
+/// approx_state_bytes()'s per-entry sizes: an open minute, an open window
+/// and a series' bank, each with its key and an allowance for container
+/// overhead. They are constants, not sizeof()s, because serve's memory
+/// budget sheds against the gauge and its books store it, so its value
+/// must not move when a struct does.
+constexpr std::uint64_t kMinuteGaugeBytes = 56;
+constexpr std::uint64_t kWindowGaugeBytes = 232;
+constexpr std::uint64_t kSeriesGaugeBytes = 520;
+
+[[nodiscard]] constexpr std::uint64_t series_key(std::uint32_t vip,
+                                                 Direction direction) noexcept {
+  return (std::uint64_t{vip} << 8) | static_cast<std::uint8_t>(direction);
+}
+[[nodiscard]] constexpr std::uint32_t key_vip(std::uint64_t key) noexcept {
+  return static_cast<std::uint32_t>(key >> 8);
+}
+[[nodiscard]] constexpr Direction key_direction(std::uint64_t key) noexcept {
+  return static_cast<Direction>(key & 0xffu);
+}
+
 /// Content hash for duplicate suppression: FNV-1a over every record field.
 /// 64 bits keeps accidental collisions (a distinct record silently dropped)
 /// below ~2^-32 per open minute at realistic window populations.
@@ -120,11 +144,17 @@ void StreamMonitor::ingest(const FlowRecord& record) {
   // commits everything at or before it. The record's own minute always
   // stays open (it is > watermark_ and M - reorder_lag - 1 <= max_seen_).
   max_seen_ = std::max(max_seen_, record.minute);
-  commit_to(max_seen_ - stream_.reorder_lag);
+  commit_to(util::saturating_sub(max_seen_, stream_.reorder_lag));
 
+  // Most records land in the window of the record before them.
   const OrientedFlow flow{&record, *direction};
-  const SeriesKey key{flow.vip().value(), *direction};
-  OpenWindow& open = open_minutes_[record.minute][key];
+  const SeriesKey key = series_key(flow.vip().value(), *direction);
+  if (memo_.window == nullptr || memo_.minute != record.minute ||
+      memo_.key != key) {
+    memo_ = {record.minute, key,
+             &state_.window(record.minute, key, spare_minute_)};
+  }
+  OpenWindow& open = *memo_.window;
   VipMinuteStats& w = open.stats;
   if (w.flows == 0) {
     w.vip = flow.vip();
@@ -139,16 +169,70 @@ void StreamMonitor::ingest(const FlowRecord& record) {
       w, open.remotes.insert(flow.remote_ip().value(), classes));
 }
 
+void StreamMonitor::FlatIndex::grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max<std::size_t>(16, 2 * slots_.size())));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.key == kFree) continue;
+    std::size_t i = slot_of(slot.key) & mask;
+    while (slots_[i].key != kFree) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void StreamMonitor::FlatIndex::clear() noexcept {
+  if (size_ != 0) std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
+}
+
+std::uint32_t StreamMonitor::FlatState::id_of(SeriesKey key) {
+  const std::uint32_t id =
+      ids.find_or_insert(key, static_cast<std::uint32_t>(series.size()));
+  if (id == series.size()) series.push_back({key, nullptr});
+  return id;
+}
+
+StreamMonitor::OpenWindow& StreamMonitor::FlatState::window(
+    util::Minute minute, SeriesKey key, MinuteTable& spare) {
+  const std::uint32_t id = id_of(key);
+  auto [it, fresh] = minutes.try_emplace(minute);
+  MinuteTable& table = it->second;
+  if (fresh) table = std::exchange(spare, MinuteTable{});
+  const std::uint32_t slot =
+      table.slots.find_or_insert(id, static_cast<std::uint32_t>(table.used));
+  if (slot == table.used) {
+    if (table.used == table.windows.size()) {
+      table.windows.emplace_back();
+    } else {
+      table.windows[slot].stats = VipMinuteStats{};
+    }
+    table.ids.push_back(id);
+    ++table.used;
+  }
+  return table.windows[slot];
+}
+
+StreamMonitor::SeriesState& StreamMonitor::FlatState::bank(
+    std::uint32_t id, const DetectionConfig& config) {
+  std::unique_ptr<SeriesState>& bank = series[id].bank;
+  if (!bank) {
+    bank = std::make_unique<SeriesState>(config);
+    ++banks;
+  }
+  return *bank;
+}
+
 void StreamMonitor::advance_to(util::Minute minute) {
   max_seen_ = std::max(max_seen_, minute);
   commit_to(minute);
 }
 
 void StreamMonitor::commit_to(util::Minute minute) {
-  while (!open_minutes_.empty() && open_minutes_.begin()->first < minute) {
-    close_minute(open_minutes_.begin()->first);
+  while (!state_.minutes.empty() && state_.minutes.begin()->first < minute) {
+    close_first_minute();
   }
-  watermark_ = std::max(watermark_, minute - 1);
+  watermark_ = std::max(watermark_, util::saturating_sub(minute, 1));
   // Dedup sets of committed minutes can no longer be consulted (those
   // minutes reject everything as late) — drop them so memory stays
   // proportional to the open horizon.
@@ -160,14 +244,40 @@ void StreamMonitor::commit_to(util::Minute minute) {
   emit(closed);
 }
 
-void StreamMonitor::close_minute(util::Minute minute) {
-  const auto it = open_minutes_.find(minute);
-  if (it == open_minutes_.end()) return;
-  for (const auto& [key, open] : it->second) {
-    feed_window(key, open);
+void StreamMonitor::sort_windows(const MinuteTable& table,
+                                 KeyedIndices& out) const {
+  out.clear();
+  for (std::size_t i = 0; i < table.used; ++i) {
+    out.emplace_back(state_.series[table.ids[i]].key,
+                     static_cast<std::uint32_t>(i));
+  }
+  std::sort(out.begin(), out.end());
+}
+
+void StreamMonitor::close_first_minute() {
+  memo_.window = nullptr;
+  const auto first = state_.minutes.begin();
+  MinuteTable& table = first->second;
+  sort_windows(table, close_order_);
+  for (const auto& [key, slot] : close_order_) {
+    feed_window(table.ids[slot], table.windows[slot]);
     ++windows_closed_;
   }
-  open_minutes_.erase(it);
+  // The storage waits for the next minute to open: on an in-order feed
+  // one opens for each that closes.
+  if (table.windows.size() > std::max(kKeptWindows, 2 * table.used)) {
+    table.windows.resize(table.used);
+    table.windows.shrink_to_fit();
+    table.slots = FlatIndex{};
+  }
+  for (std::size_t i = 0; i < table.used; ++i) {
+    table.windows[i].remotes.clear();
+  }
+  table.ids.clear();
+  table.slots.clear();
+  table.used = 0;
+  spare_minute_ = std::move(table);
+  state_.minutes.erase(first);
 }
 
 void StreamMonitor::note_outage(util::Minute from, util::Minute to) {
@@ -197,9 +307,8 @@ std::size_t StreamMonitor::outage_overlap(util::Minute from,
   return total;
 }
 
-void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
-  auto [det_it, inserted] = detectors_.try_emplace(key, config_);
-  SeriesState& series = det_it->second;
+void StreamMonitor::feed_window(std::uint32_t id, const OpenWindow& open) {
+  SeriesState& series = state_.bank(id, config_);
   // Minutes of the series' silent gap that fall inside a declared outage
   // carry no information: the change-point baselines must not absorb them
   // as zeros (which would both collapse the EWMA and accrue warm-up
@@ -214,7 +323,8 @@ void StreamMonitor::feed_window(const SeriesKey& key, const OpenWindow& open) {
   const auto verdicts = series.detector.observe(open.stats, excluded);
   for (std::size_t t = 0; t < sim::kAttackTypeCount; ++t) {
     if (!verdicts[t].attack) continue;
-    MinuteDetection detection{open.stats.vip, key.direction,
+    MinuteDetection detection{open.stats.vip,
+                              key_direction(state_.series[id].key),
                               sim::kAllAttackTypes[t], open.stats.minute,
                               verdicts[t].sampled_packets,
                               verdicts[t].unique_remotes};
@@ -234,9 +344,9 @@ void StreamMonitor::emit(const std::vector<AttackIncident>& closed) {
 }
 
 void StreamMonitor::finish() {
-  while (!open_minutes_.empty()) {
-    const util::Minute minute = open_minutes_.begin()->first;
-    close_minute(minute);
+  while (!state_.minutes.empty()) {
+    const util::Minute minute = state_.minutes.begin()->first;
+    close_first_minute();
     watermark_ = std::max(watermark_, minute);
   }
   seen_.clear();
@@ -252,14 +362,14 @@ std::uint64_t StreamMonitor::approx_state_bytes() const noexcept {
   // hash-table load factors so the number is identical across runs and
   // platforms.
   std::uint64_t bytes = 0;
-  for (const auto& [minute, series_map] : open_minutes_) {
-    bytes += sizeof(minute) + 48;  // map node overhead estimate
-    for (const auto& [key, open] : series_map) {
-      bytes += sizeof(key) + sizeof(OpenWindow) +
-               open.remotes.size() * sizeof(std::uint64_t);
+  for (const auto& [minute, table] : state_.minutes) {
+    bytes += kMinuteGaugeBytes;
+    for (std::size_t i = 0; i < table.used; ++i) {
+      bytes += kWindowGaugeBytes +
+               table.windows[i].remotes.size() * sizeof(std::uint64_t);
     }
   }
-  bytes += detectors_.size() * (sizeof(SeriesKey) + sizeof(SeriesState) + 48);
+  bytes += state_.banks * kSeriesGaugeBytes;
   for (const auto& [key, live] : incident_builder_.live()) {
     bytes += sizeof(key) + sizeof(live) + 48 +
              live.peaks.size() * sizeof(live.peaks[0]);
@@ -293,14 +403,18 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     put_i64(payload, to);
   }
 
-  // Open windows. std::map iteration gives deterministic order.
-  put_u64(payload, open_minutes_.size());
-  for (const auto& [minute, series_map] : open_minutes_) {
+  // Open windows, minutes ascending and each minute's windows by series
+  // key.
+  KeyedIndices order;
+  put_u64(payload, state_.minutes.size());
+  for (const auto& [minute, table] : state_.minutes) {
     put_i64(payload, minute);
-    put_u64(payload, series_map.size());
-    for (const auto& [key, open] : series_map) {
-      put_u64(payload, key.vip);
-      put_u64(payload, static_cast<std::uint64_t>(key.direction));
+    put_u64(payload, table.used);
+    sort_windows(table, order);
+    for (const auto& [key, slot] : order) {
+      put_u64(payload, key_vip(key));
+      put_u64(payload, static_cast<std::uint64_t>(key_direction(key)));
+      const OpenWindow& open = table.windows[slot];
       // dmlint: covers(open, OpenWindow)
       // dmlint: covers(w, VipMinuteStats)
       const VipMinuteStats& w = open.stats;
@@ -344,11 +458,20 @@ void StreamMonitor::checkpoint(std::ostream& out) const {
     }
   }
 
-  // Detector baselines.
-  put_u64(payload, detectors_.size());
-  for (const auto& [key, series] : detectors_) {
-    put_u64(payload, key.vip);
-    put_u64(payload, static_cast<std::uint64_t>(key.direction));
+  // Detector baselines, by series key.
+  order.clear();
+  for (std::size_t id = 0; id < state_.series.size(); ++id) {
+    if (state_.series[id].bank) {
+      order.emplace_back(state_.series[id].key,
+                         static_cast<std::uint32_t>(id));
+    }
+  }
+  std::sort(order.begin(), order.end());
+  put_u64(payload, order.size());
+  for (const auto& [key, id] : order) {
+    put_u64(payload, key_vip(key));
+    put_u64(payload, static_cast<std::uint64_t>(key_direction(key)));
+    const SeriesState& series = *state_.series[id].bank;
     // dmlint: covers(series, SeriesState)
     put_i64(payload, series.last_minute);
     const SeriesDetector::StateArray states = series.detector.state();
@@ -423,8 +546,8 @@ void StreamMonitor::restore(std::istream& in) {
   // CRC check short of an encoder bug, but cheap to guard) leaves the
   // monitor untouched. The fresh builder's expiry gate starts open, which
   // is safe: expiring again at an already-expired minute closes nothing.
-  decltype(open_minutes_) open_minutes;
-  decltype(detectors_) detectors;
+  FlatState state;
+  MinuteTable no_spare;
   IncidentBuilder incident_builder(timeouts_);
   decltype(outages_) outages;
   decltype(seen_) seen;
@@ -466,15 +589,15 @@ void StreamMonitor::restore(std::istream& in) {
   const std::uint64_t minute_count = get_u64();
   for (std::uint64_t m = 0; m < minute_count; ++m) {
     const util::Minute minute = get_i64();
-    auto& series_map = open_minutes[minute];
+    state.minutes.try_emplace(minute);
     const std::uint64_t series_count = get_u64();
     for (std::uint64_t s = 0; s < series_count; ++s) {
-      SeriesKey key;
-      key.vip = static_cast<std::uint32_t>(get_u64());
-      key.direction = static_cast<Direction>(get_u64());
+      const auto vip = static_cast<std::uint32_t>(get_u64());
+      const auto direction = static_cast<Direction>(get_u64());
       // dmlint: covers(open, OpenWindow)
       // dmlint: covers(w, VipMinuteStats)
-      OpenWindow& open = series_map[key];
+      OpenWindow& open =
+          state.window(minute, series_key(vip, direction), no_spare);
       VipMinuteStats& w = open.stats;
       w.vip = netflow::IPv4(static_cast<std::uint32_t>(get_u64()));
       w.minute = get_i64();
@@ -517,12 +640,11 @@ void StreamMonitor::restore(std::istream& in) {
 
   const std::uint64_t detector_count = get_u64();
   for (std::uint64_t i = 0; i < detector_count; ++i) {
-    SeriesKey key;
-    key.vip = static_cast<std::uint32_t>(get_u64());
-    key.direction = static_cast<Direction>(get_u64());
-    auto [it, inserted] = detectors.try_emplace(key, config_);
+    const auto vip = static_cast<std::uint32_t>(get_u64());
+    const auto direction = static_cast<Direction>(get_u64());
     // dmlint: covers(series, SeriesState)
-    SeriesState& series = it->second;
+    SeriesState& series =
+        state.bank(state.id_of(series_key(vip, direction)), config_);
     series.last_minute = get_i64();
     SeriesDetector::StateArray states;
     // dmlint: covers(s, State)
@@ -584,8 +706,8 @@ void StreamMonitor::restore(std::istream& in) {
                      "checkpoint: trailing bytes after payload");
   }
 
-  open_minutes_ = std::move(open_minutes);
-  detectors_ = std::move(detectors);
+  state_ = std::move(state);
+  memo_.window = nullptr;
   incident_builder_ = std::move(incident_builder);
   outages_ = std::move(outages);
   seen_ = std::move(seen);

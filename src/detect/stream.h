@@ -17,12 +17,27 @@
 // a feed gap is not mistaken for a traffic collapse. checkpoint()/restore()
 // serialize the complete monitor state as one DMCK frame (netflow/frame.h),
 // so a crashed monitor resumes byte-identically on an in-order feed.
+//
+// State layout: the per-record path touches flat, index-addressed state.
+// Each (vip, direction) series gets a dense id from an open-addressing
+// index; its detector bank lives in a vector slot under that id. Each open
+// minute holds its windows in a vector with a series id -> window table,
+// and a one-entry memo of the last record's window lets most records skip
+// both lookups. A closed minute's storage is recycled for the next minute
+// to open; the open minutes themselves stay in a small map keyed by
+// minute. Windows close in (vip, direction) order — each minute's windows
+// are sorted by key at close — so alerts and incidents come out as they
+// would from a key-ordered map, and the checkpoint sorts windows and banks
+// the same way when it writes them. The ids, index, memo and recycled
+// storage are derived: restore() rebuilds them from the frame.
 #pragma once
 
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "detect/detectors.h"
@@ -132,7 +147,7 @@ class StreamMonitor {
   // when enforcing per-tenant memory budgets.
   /// Per-series detector banks retained (grows with distinct VIPs seen).
   [[nodiscard]] std::size_t series_count() const noexcept {
-    return detectors_.size();
+    return state_.banks;
   }
   /// Rough resident footprint of the monitor state in bytes: container
   /// entries times their element sizes plus the per-window remote tables.
@@ -140,14 +155,10 @@ class StreamMonitor {
   [[nodiscard]] std::uint64_t approx_state_bytes() const noexcept;
 
  private:
-  struct SeriesKey {
-    std::uint32_t vip = 0;
-    netflow::Direction direction = netflow::Direction::kInbound;
-    friend bool operator<(const SeriesKey& a, const SeriesKey& b) {
-      if (a.vip != b.vip) return a.vip < b.vip;
-      return static_cast<int>(a.direction) < static_cast<int>(b.direction);
-    }
-  };
+  /// A series' (vip, direction) as vip << 8 | direction: integer order is
+  /// (vip, direction) order, the order windows close in and the checkpoint
+  /// lists series in.
+  using SeriesKey = std::uint64_t;
 
   /// An open one-minute window under accumulation.
   struct OpenWindow {
@@ -166,9 +177,99 @@ class StreamMonitor {
         : detector(config) {}
   };
 
+  /// A map from 64-bit keys (all but the all-ones key) to 32-bit values:
+  /// open addressing with linear probing, power-of-two capacity, at most
+  /// half full. Nothing iterates it, so its order never reaches output.
+  class FlatIndex {
+   public:
+    /// The value stored under `key`, storing `value` first when absent.
+    std::uint32_t find_or_insert(std::uint64_t key, std::uint32_t value) {
+      if (2 * (size_ + 1) > slots_.size()) grow();
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = slot_of(key) & mask;; i = (i + 1) & mask) {
+        Slot& slot = slots_[i];
+        if (slot.key == kFree) {
+          slot = {key, value};
+          ++size_;
+          return value;
+        }
+        if (slot.key == key) return slot.value;
+      }
+    }
+    /// Forgets every key, keeping the capacity.
+    void clear() noexcept;
+
+   private:
+    static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+    struct Slot {
+      std::uint64_t key = kFree;
+      std::uint32_t value = 0;
+    };
+    [[nodiscard]] static std::size_t slot_of(std::uint64_t key) noexcept {
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 32);
+    }
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// A series id's key and, from its first closed window on, its detector
+  /// bank, allocated on its own so that the series vector grows by moving
+  /// pointers rather than banks.
+  struct Series {
+    SeriesKey key = 0;
+    std::unique_ptr<SeriesState> bank;
+  };
+
+  /// One open minute's windows. windows[0, used) are live, in arrival
+  /// order; ids[i] is windows[i]'s series id, and `slots` maps a series id
+  /// to its window. Past `used`, windows hold storage recycled from closed
+  /// minutes: cleared remote tables, stats reset when the window is taken.
+  struct MinuteTable {
+    std::vector<OpenWindow> windows;
+    std::vector<std::uint32_t> ids;
+    FlatIndex slots;
+    std::size_t used = 0;
+  };
+
+  /// The series and their open windows, flat and addressed by dense series
+  /// ids. The checkpoint carries the open windows and the banks; the ids
+  /// and the index are rebuilt from them.
+  struct FlatState {
+    std::map<util::Minute, MinuteTable> minutes;  ///< minutes close in order
+    std::vector<Series> series;  ///< by series id, in first-seen order
+    FlatIndex ids;               ///< SeriesKey -> series id
+    std::size_t banks = 0;       ///< series with a bank
+
+    /// The id of series `key`, assigned when new.
+    std::uint32_t id_of(SeriesKey key);
+    /// The window of series `key` in `minute`, added when new; a new minute
+    /// takes over `spare`'s storage.
+    OpenWindow& window(util::Minute minute, SeriesKey key,
+                       MinuteTable& spare);
+    /// The bank of series `id`, created when absent.
+    SeriesState& bank(std::uint32_t id, const DetectionConfig& config);
+  };
+
+  /// The window the last accepted record went to.
+  struct WindowMemo {
+    util::Minute minute = 0;
+    SeriesKey key = 0;
+    OpenWindow* window = nullptr;  ///< null = no memo
+  };
+
+  /// (series key, window index or series id) pairs.
+  using KeyedIndices = std::vector<std::pair<SeriesKey, std::uint32_t>>;
+
+  /// Fills `out` with the (series key, window index) pairs of `table`'s
+  /// live windows, ascending by key.
+  void sort_windows(const MinuteTable& table, KeyedIndices& out) const;
   void commit_to(util::Minute minute);
-  void close_minute(util::Minute minute);
-  void feed_window(const SeriesKey& key, const OpenWindow& window);
+  /// Feeds the earliest open minute's windows to their detectors in key
+  /// order and recycles its storage.
+  void close_first_minute();
+  void feed_window(std::uint32_t id, const OpenWindow& window);
   void emit(const std::vector<AttackIncident>& closed);
   [[nodiscard]] std::size_t outage_overlap(util::Minute from,
                                            util::Minute to) const noexcept;
@@ -181,9 +282,11 @@ class StreamMonitor {
   IncidentCallback on_incident_;
   StreamConfig stream_;
 
-  // minute -> series -> open window; minutes close in order.
-  std::map<util::Minute, std::map<SeriesKey, OpenWindow>> open_minutes_;
-  std::map<SeriesKey, SeriesState> detectors_;
+  FlatState state_;
+  /// The last closed minute's storage, kept for the next minute to open.
+  MinuteTable spare_minute_;
+  WindowMemo memo_;
+  KeyedIndices close_order_;  ///< close_first_minute()'s scratch
   IncidentBuilder incident_builder_;
   util::Minute watermark_ = -1;  ///< all minutes <= watermark are closed
   util::Minute max_seen_ = -1;   ///< newest minute ingested or advanced to

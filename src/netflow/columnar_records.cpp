@@ -141,10 +141,11 @@ void ColumnarRecords::extend_by(const ColumnarRecords& back) noexcept {
 
 void ColumnarRecords::append(ColumnarRecords&& other) {
   if (other.size_ == 0) return;
-  // Steal the whole store when this one is empty AND unreserved; a reserved
-  // destination keeps its capacity and goes through the generic path (which
-  // is also correct for an empty destination — the encoder state starts at
-  // zero, so the re-encoded first header is byte-identical).
+  // Steal the whole store when this one is empty AND holds no buffer; an
+  // empty destination with capacity keeps it and goes through the generic
+  // path (which is also correct for an empty destination — the encoder
+  // state starts at zero, so the re-encoded first header is
+  // byte-identical).
   if (size_ == 0 && payload_.capacity() == 0) {
     *this = std::move(other);
     other = ColumnarRecords();
@@ -181,16 +182,6 @@ ColumnarRecords ColumnarRecords::concat(exec::ThreadPool* pool,
 ColumnarRecords::BufferSizes ColumnarRecords::buffer_sizes() const noexcept {
   return BufferSizes{headers_.size(), payload_.size(), run_starts_.size(),
                      checkpoints_.size()};
-}
-
-void ColumnarRecords::reserve(const BufferSizes& extra) {
-  headers_.reserve(headers_.size() +
-                   static_cast<std::size_t>(extra.header_bytes));
-  payload_.reserve(payload_.size() +
-                   static_cast<std::size_t>(extra.payload_bytes));
-  run_starts_.reserve(run_starts_.size() + extra.runs);
-  payload_offs_.reserve(payload_offs_.size() + extra.runs);
-  checkpoints_.reserve(checkpoints_.size() + extra.checkpoints);
 }
 
 void ColumnarRecords::shrink_to_fit() {

@@ -155,11 +155,6 @@ class ColumnarRecords {
   };
   [[nodiscard]] BufferSizes buffer_sizes() const noexcept;
 
-  /// Reserves room for `extra` on top of the current contents. Appending a
-  /// store re-encodes its first run header (≤ 20 bytes); callers folding N
-  /// stores add that slack per store.
-  void reserve(const BufferSizes& extra);
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t run_count() const noexcept {

@@ -3,6 +3,7 @@
 // data by VIP in each one-minute window", §2.2) done in-process.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -151,8 +152,9 @@ inline void count_distinct(VipMinuteStats& w, unsigned fresh) noexcept {
 /// The distinct remote IPs of one open window, each with the RemoteClass
 /// bits it has been seen under: a flat open-addressing table (linear
 /// probing, power-of-two capacity, at most half full), so a record costs
-/// one probe sequence and allocates only when the table doubles. The
-/// streaming counterpart of the batch build's adjacent compare over
+/// one probe sequence and allocates only when the table doubles, and a
+/// cleared table serves the next window without allocating. The streaming
+/// counterpart of the batch build's adjacent compare over
 /// sorted remotes.
 class DistinctRemotes {
  public:
@@ -176,6 +178,19 @@ class DistinctRemotes {
       }
     }
   }
+
+  /// Forgets every remote, so the table can serve another window. A table
+  /// of at most kKeptSlots slots is zeroed and keeps its storage; a larger
+  /// one is released.
+  void clear() noexcept {
+    if (slots_.size() > kKeptSlots) {
+      slots_ = std::vector<std::uint64_t>();
+    } else if (size_ != 0) {
+      std::fill(slots_.begin(), slots_.end(), std::uint64_t{0});
+    }
+    size_ = 0;
+  }
+  static constexpr std::size_t kKeptSlots = 64;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Every (remote, classes) entry, ascending by remote: checkpoint bytes

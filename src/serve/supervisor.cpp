@@ -61,12 +61,6 @@ void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
   return static_cast<std::size_t>(mix64(vip) >> 32) % tenants;
 }
 
-/// `minute - lag` for lag >= 0, saturated at the minute floor.
-[[nodiscard]] util::Minute minus_lag(util::Minute minute,
-                                     util::Minute lag) noexcept {
-  return minute < INT64_MIN + lag ? INT64_MIN : minute - lag;
-}
-
 [[nodiscard]] Event alert_event(const detect::MinuteDetection& d) {
   Event e;
   e.kind = Event::Kind::kAlert;
@@ -322,7 +316,8 @@ void Supervisor::admit(std::size_t tenant, const netflow::FlowRecord& record,
   TenantSpec& spec = specs_[tenant];
   TenantBook& book = books_[tenant];
   if (record.minute > book.high_water || book.high_water == kNoMinute) {
-    close_buckets(tenant, minus_lag(record.minute, config_.stream.reorder_lag));
+    close_buckets(tenant, util::saturating_sub(record.minute,
+                                               config_.stream.reorder_lag));
     book.high_water = record.minute;
   }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace dm::util {
@@ -27,6 +28,25 @@ inline constexpr Minute kMinutesPerDay = 24 * kMinutesPerHour;
 /// Hour-of-day in [0, 24).
 [[nodiscard]] constexpr int hour_of_day(Minute m) noexcept {
   return static_cast<int>(minute_of_day(m) / kMinutesPerHour);
+}
+
+/// `a + b`, clamped to the Minute range: arithmetic on decoded minutes
+/// next to the floor or the ceiling saturates instead of overflowing.
+[[nodiscard]] constexpr Minute saturating_add(Minute a, Minute b) noexcept {
+  constexpr Minute kMin = std::numeric_limits<Minute>::min();
+  constexpr Minute kMax = std::numeric_limits<Minute>::max();
+  if (b > 0 && a > kMax - b) return kMax;
+  if (b < 0 && a < kMin - b) return kMin;
+  return a + b;
+}
+
+/// `a - b`, clamped to the Minute range like saturating_add.
+[[nodiscard]] constexpr Minute saturating_sub(Minute a, Minute b) noexcept {
+  constexpr Minute kMin = std::numeric_limits<Minute>::min();
+  constexpr Minute kMax = std::numeric_limits<Minute>::max();
+  if (b < 0 && a > kMax + b) return kMax;
+  if (b > 0 && a < kMin + b) return kMin;
+  return a - b;
 }
 
 /// Formats a minute index as "dD hh:mm" for logs and case-study output.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <tuple>
 
+#include "detect/pipeline.h"
+#include "detect/stream.h"
 #include "util/rng.h"
 
 namespace dm::detect {
@@ -115,6 +118,19 @@ TEST(InactiveGaps, ComputesGapsPerSeries) {
   // Sorted by (vip, minute): kVip gaps {7}, kVip2 gaps {28}.
   EXPECT_EQ(gaps[0], 7.0);
   EXPECT_EQ(gaps[1], 28.0);
+}
+
+TEST(InactiveGaps, ExtremeMinutesSaturate) {
+  // Detections at the minute floor and ceiling are as far apart as minutes
+  // get: the silent gap between them saturates instead of wrapping.
+  const std::vector<MinuteDetection> detections = {
+      det(std::numeric_limits<util::Minute>::min()),
+      det(std::numeric_limits<util::Minute>::max())};
+  const auto gaps =
+      inactive_gaps(detections, AttackType::kSynFlood, Direction::kInbound);
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0],
+            static_cast<double>(std::numeric_limits<util::Minute>::max() - 1));
 }
 
 TEST(InactiveGaps, NoGapsForContiguous) {
@@ -331,6 +347,81 @@ TEST(IncidentBuilder, ExpiryErasesClosedIncidentsAndRunsOncePerMinute) {
   builder.expire(200, closed);
   EXPECT_EQ(closed.size(), 1001u);
   EXPECT_TRUE(builder.live().empty());
+}
+
+netflow::PrefixSet cloud_space() {
+  netflow::PrefixSet set;
+  set.add(netflow::Prefix(netflow::IPv4::from_octets(100, 64, 0, 0), 12));
+  return set;
+}
+
+/// An inbound TCP record to kVip with the given flags and packet count.
+netflow::FlowRecord inbound(util::Minute minute, netflow::TcpFlags flags,
+                            std::uint32_t packets) {
+  netflow::FlowRecord r;
+  r.minute = minute;
+  r.src_ip = netflow::IPv4::from_octets(4, 0, 0, 1);
+  r.dst_ip = kVip;
+  r.src_port = 40'000;
+  r.dst_port = 80;
+  r.protocol = netflow::Protocol::kTcp;
+  r.tcp_flags = flags;
+  r.packets = packets;
+  r.bytes = 40ull * packets;
+  return r;
+}
+
+TEST(IncidentBuilder, ExtremeMinutesAreSeparateIncidents) {
+  // NULL scans at the first and the last minute are as far apart as minutes
+  // get: the silent gap between them saturates instead of wrapping negative,
+  // so they are two incidents, and each ends one past its minute or at the
+  // ceiling.
+  constexpr util::Minute kFloor = std::numeric_limits<util::Minute>::min();
+  constexpr util::Minute kCeiling = std::numeric_limits<util::Minute>::max();
+  const auto windows = netflow::aggregate_windows(
+      {inbound(kFloor, netflow::TcpFlags::kNone, 3),
+       inbound(kCeiling, netflow::TcpFlags::kNone, 3)},
+      cloud_space());
+  const auto incidents = DetectionPipeline{}.run(windows).incidents;
+  ASSERT_EQ(incidents.size(), 2u);
+  EXPECT_EQ(incidents[0].type, AttackType::kPortScan);
+  EXPECT_EQ(incidents[0].start, kFloor);
+  EXPECT_EQ(incidents[0].end, kFloor + 1);
+  EXPECT_EQ(incidents[1].type, AttackType::kPortScan);
+  EXPECT_EQ(incidents[1].start, kCeiling);
+  EXPECT_EQ(incidents[1].end, kCeiling);
+}
+
+TEST(IncidentBuilder, CeilingFloodMatchesBetweenBatchAndStream) {
+  // A SYN flood in the last minute: its end saturates at the ceiling in
+  // batch and in the stream monitor alike.
+  constexpr util::Minute kCeiling = std::numeric_limits<util::Minute>::max();
+  const std::vector<netflow::FlowRecord> feed = {
+      inbound(kCeiling, netflow::TcpFlags::kSyn, 1000)};
+  const auto batch =
+      DetectionPipeline{}.run(netflow::aggregate_windows(feed, cloud_space()))
+          .incidents;
+  std::vector<AttackIncident> streamed;
+  StreamMonitor monitor(
+      cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+      nullptr, [&](const AttackIncident& inc) { streamed.push_back(inc); });
+  for (const auto& r : feed) monitor.ingest(r);
+  monitor.advance_to(kCeiling);
+  monitor.finish();
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_EQ(streamed.size(), 1u);
+  const auto fields = [](const AttackIncident& inc) {
+    return std::make_tuple(inc.vip.value(), static_cast<int>(inc.direction),
+                           static_cast<int>(inc.type), inc.start, inc.end,
+                           inc.active_minutes, inc.total_sampled_packets,
+                           inc.peak_sampled_ppm, inc.peak_unique_remotes,
+                           inc.ramp_up_minutes);
+  };
+  EXPECT_EQ(fields(streamed[0]), fields(batch[0]));
+  EXPECT_EQ(batch[0].type, AttackType::kSynFlood);
+  EXPECT_EQ(batch[0].start, kCeiling);
+  EXPECT_EQ(batch[0].end, kCeiling);
+  EXPECT_EQ(batch[0].duration(), 0);
 }
 
 }  // namespace

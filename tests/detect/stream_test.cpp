@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "detect/pipeline.h"
 #include "fault/fault.h"
+#include "netflow/frame.h"
 #include "sim/trace_generator.h"
 
 namespace dm::detect {
@@ -399,6 +405,293 @@ TEST(StreamMonitor, OutageOnlyCoversDeclaredMinutes) {
   for (std::uint32_t s = 0; s < 300; ++s) monitor.ingest(syn(51, s));
   monitor.finish();
   EXPECT_GT(monitor.alerts(), 0u);
+}
+
+TEST(StreamMonitor, AdvanceToTheMinuteFloorIsDefined) {
+  // The commit watermark is one below the advanced-to minute; at the floor
+  // that subtraction saturates instead of wrapping, so nothing commits and
+  // later records are still on time.
+  StreamMonitor monitor(cloud_space());
+  monitor.advance_to(std::numeric_limits<util::Minute>::min());
+  monitor.ingest(syn(0, 1));
+  monitor.advance_to(std::numeric_limits<util::Minute>::min());
+  monitor.finish();
+  EXPECT_EQ(monitor.records_late(), 0u);
+  EXPECT_EQ(monitor.windows_closed(), 1u);
+}
+
+/// A SYN flood of `sources` distinct remotes on one (vip, direction) series
+/// in minute `m`: inbound from the remotes to `vip`, or outbound from `vip`.
+std::vector<FlowRecord> flood(IPv4 vip, Direction direction, util::Minute m,
+                              std::uint32_t sources) {
+  std::vector<FlowRecord> records;
+  for (std::uint32_t s = 0; s < sources; ++s) {
+    FlowRecord r = syn(m, s);
+    r.dst_ip = vip;
+    if (direction == Direction::kOutbound) std::swap(r.src_ip, r.dst_ip);
+    records.push_back(r);
+  }
+  return records;
+}
+
+TEST(StreamMonitor, WindowsCloseInKeyOrder) {
+  // Six series reach minute 100 in descending (vip, direction) order, each
+  // with a flood; their windows close in ascending order, so the alerts do.
+  std::vector<std::pair<std::uint32_t, Direction>> alerted;
+  StreamMonitor monitor(
+      cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+      [&](const MinuteDetection& d) {
+        alerted.emplace_back(d.vip.value(), d.direction);
+      });
+  std::vector<std::pair<std::uint32_t, Direction>> fed;
+  for (int v = 2; v >= 0; --v) {
+    const IPv4 vip =
+        IPv4::from_octets(100, 64, 0, static_cast<std::uint8_t>(9 + v));
+    for (const Direction dir : {Direction::kOutbound, Direction::kInbound}) {
+      fed.emplace_back(vip.value(), dir);
+      for (const FlowRecord& r : flood(vip, dir, 100, 300)) monitor.ingest(r);
+    }
+  }
+  monitor.finish();
+  std::sort(fed.begin(), fed.end());
+  EXPECT_EQ(alerted, fed);
+}
+
+TEST(StreamMonitor, RecycledWindowsStartEmpty) {
+  // A window far larger than any table a closed minute keeps closes first.
+  // Later minutes reuse the closed minutes' storage; a monitor restored from
+  // a checkpoint taken right after that close has none to reuse, so every
+  // counter, alert, incident and gauge of the two must agree from there on,
+  // and the floods must report their exact remote counts. Minute 101's
+  // series outnumber the slots a fresh minute starts with, so windows land
+  // after its storage grows, and the lag keeps two minutes open at a time.
+  const IPv4 big = IPv4::from_octets(100, 64, 0, 200);
+  StreamConfig stream;
+  stream.reorder_lag = 1;
+  std::vector<MinuteDetection> recycled_alerts;
+  std::vector<AttackIncident> recycled_incidents;
+  StreamMonitor recycled(
+      cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+      [&](const MinuteDetection& d) { recycled_alerts.push_back(d); },
+      [&](const AttackIncident& inc) { recycled_incidents.push_back(inc); },
+      stream);
+  for (const FlowRecord& r : flood(big, Direction::kInbound, 100, 20'000)) {
+    recycled.ingest(r);
+  }
+  recycled.advance_to(101);
+  ASSERT_EQ(recycled.windows_closed(), 1u);
+
+  std::ostringstream snapshot(std::ios::binary);
+  recycled.checkpoint(snapshot);
+  std::vector<MinuteDetection> fresh_alerts;
+  std::vector<AttackIncident> fresh_incidents;
+  StreamMonitor fresh(
+      cloud_space(), nullptr, DetectionConfig{}, TimeoutTable::paper(),
+      [&](const MinuteDetection& d) { fresh_alerts.push_back(d); },
+      [&](const AttackIncident& inc) { fresh_incidents.push_back(inc); },
+      stream);
+  std::istringstream in(snapshot.str(), std::ios::binary);
+  fresh.restore(in);
+  const std::size_t alerts_before = recycled_alerts.size();
+  fresh_alerts = recycled_alerts;
+
+  // Minutes 101..104: 40 fresh VIPs per minute, each with a 300-remote
+  // flood in both directions whose remotes repeat the big window's. Each
+  // series' records come two at a time, and minutes 101/102 and 103/104
+  // interleave record by record.
+  std::array<std::vector<FlowRecord>, 4> minutes;
+  for (util::Minute m = 101; m <= 104; ++m) {
+    std::vector<std::vector<FlowRecord>> series;
+    for (std::uint8_t v = 0; v < 40; ++v) {
+      const IPv4 vip =
+          IPv4::from_octets(100, 64, static_cast<std::uint8_t>(m - 100), v);
+      series.push_back(flood(vip, Direction::kInbound, m, 300));
+      series.push_back(flood(vip, Direction::kOutbound, m, 300));
+    }
+    for (std::size_t i = 0; i < 300; i += 2) {
+      for (const auto& s : series) {
+        minutes[static_cast<std::size_t>(m - 101)].push_back(s[i]);
+        minutes[static_cast<std::size_t>(m - 101)].push_back(s[i + 1]);
+      }
+    }
+  }
+  std::vector<FlowRecord> feed;
+  for (std::size_t pair = 0; pair < 4; pair += 2) {
+    for (std::size_t i = 0; i < minutes[pair].size(); ++i) {
+      feed.push_back(minutes[pair][i]);
+      feed.push_back(minutes[pair + 1][i]);
+    }
+  }
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    recycled.ingest(feed[i]);
+    fresh.ingest(feed[i]);
+    ASSERT_EQ(recycled.approx_state_bytes(), fresh.approx_state_bytes())
+        << "record " << i;
+  }
+  std::ostringstream recycled_bytes(std::ios::binary);
+  std::ostringstream fresh_bytes(std::ios::binary);
+  recycled.checkpoint(recycled_bytes);
+  fresh.checkpoint(fresh_bytes);
+  EXPECT_EQ(recycled_bytes.str(), fresh_bytes.str());
+  recycled.finish();
+  fresh.finish();
+  EXPECT_EQ(recycled.windows_closed(), fresh.windows_closed());
+  EXPECT_EQ(recycled.windows_closed(), 1u + 4 * 80);
+  EXPECT_EQ(recycled.series_count(), fresh.series_count());
+  EXPECT_EQ(recycled.approx_state_bytes(), fresh.approx_state_bytes());
+
+  ASSERT_EQ(recycled_alerts.size(), fresh_alerts.size());
+  ASSERT_EQ(recycled_alerts.size(), alerts_before + 4 * 80);
+  for (std::size_t i = alerts_before; i < recycled_alerts.size(); ++i) {
+    const MinuteDetection& a = recycled_alerts[i];
+    const MinuteDetection& b = fresh_alerts[i];
+    EXPECT_EQ(std::tie(a.vip, a.direction, a.type, a.minute, a.sampled_packets,
+                       a.unique_remotes),
+              std::tie(b.vip, b.direction, b.type, b.minute, b.sampled_packets,
+                       b.unique_remotes))
+        << "alert " << i;
+    EXPECT_EQ(a.type, sim::AttackType::kSynFlood);
+    EXPECT_EQ(a.sampled_packets, 300u) << "alert " << i;
+    EXPECT_EQ(a.unique_remotes, 300u) << "alert " << i;
+  }
+  ASSERT_EQ(recycled_incidents.size(), fresh_incidents.size());
+  for (std::size_t i = 0; i < recycled_incidents.size(); ++i) {
+    EXPECT_EQ(all_fields(recycled_incidents[i]), all_fields(fresh_incidents[i]))
+        << "incident " << i;
+  }
+}
+
+/// Little-endian bytes of a sequence of fields, for a pinned CRC-32.
+struct FieldBytes {
+  std::vector<std::uint8_t> bytes;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+};
+
+std::uint32_t crc_of(std::span<const std::uint8_t> bytes) {
+  return netflow::crc32(bytes);
+}
+
+std::uint32_t crc_of(const std::string& bytes) {
+  return crc_of(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
+TEST(StreamMonitor, OutputAndCheckpointsMatchPinnedDigests) {
+  // A degraded smoke feed (displaced by up to 32 positions, 2 % re-emitted)
+  // through a lag-0 monitor that suppresses duplicates and a lag-2 monitor
+  // with a declared outage. The alert and incident sequences, the
+  // checkpoint bytes at four points (three mid-feed, one after finish) and
+  // the state gauges there are pinned to constants captured before the
+  // monitor's state was flattened; every checkpoint also round-trips.
+  const sim::Scenario scenario(sim::ScenarioConfig::smoke());
+  std::vector<FlowRecord> ordered = sim::generate_trace(scenario).records;
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const FlowRecord& a, const FlowRecord& b) {
+                     return a.minute < b.minute;
+                   });
+  fault::RecordPlan plan;
+  plan.reorder_window = 32;
+  plan.duplicate_prob = 0.02;
+  fault::RecordDamage damage;
+  const auto degraded =
+      fault::FaultInjector(11).degrade(ordered, plan, &damage);
+  ASSERT_GT(damage.displaced, 0u);
+  ASSERT_GT(damage.duplicated, 0u);
+
+  struct Case {
+    const char* name;
+    util::Minute lag;
+    bool suppress_duplicates;
+    std::pair<util::Minute, util::Minute> outage;  ///< empty when from == to
+    std::uint32_t alerts_crc;
+    std::uint32_t incidents_crc;
+    std::array<std::uint32_t, 4> checkpoint_crcs;
+    std::uint64_t state_bytes_sum;
+    std::uint64_t series_sum;
+  };
+  const Case cases[] = {
+      {"lag 0, duplicates suppressed", 0, true, {0, 0},
+       571461249u, 2186455108u,
+       {2925029324u, 2961217218u, 187640822u, 2177088813u}, 635868u, 1149u},
+      {"lag 2, declared outage", 2, false, {1200, 1260},
+       1716648819u, 426790447u,
+       {3953552201u, 2300041698u, 384050586u, 515144057u}, 690792u, 1149u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StreamConfig stream;
+    stream.reorder_lag = c.lag;
+    stream.suppress_duplicates = c.suppress_duplicates;
+    FieldBytes alerts;
+    FieldBytes incidents;
+    StreamMonitor monitor(
+        scenario.vips().cloud_space(), &scenario.tds().as_prefix_set(),
+        DetectionConfig{}, TimeoutTable::paper(),
+        [&](const MinuteDetection& d) {
+          for (const std::uint64_t v :
+               {std::uint64_t{d.vip.value()}, std::uint64_t(d.direction),
+                std::uint64_t(d.type), std::uint64_t(d.minute),
+                d.sampled_packets, std::uint64_t{d.unique_remotes}}) {
+            alerts.add(v);
+          }
+        },
+        [&](const AttackIncident& inc) {
+          const auto fields = all_fields(inc);
+          std::apply([&](auto... v) { (incidents.add(std::uint64_t(v)), ...); },
+                     fields);
+        },
+        stream);
+    if (c.outage.first < c.outage.second) {
+      monitor.note_outage(c.outage.first, c.outage.second);
+    }
+
+    std::array<std::uint32_t, 4> checkpoint_crcs{};
+    std::uint64_t state_bytes_sum = 0;
+    std::uint64_t series_sum = 0;
+    std::size_t point = 0;
+    const auto capture = [&] {
+      std::ostringstream out(std::ios::binary);
+      monitor.checkpoint(out);
+      checkpoint_crcs[point++] = crc_of(out.str());
+      state_bytes_sum += monitor.approx_state_bytes();
+      series_sum += monitor.series_count();
+
+      StreamMonitor restored(scenario.vips().cloud_space(),
+                             &scenario.tds().as_prefix_set(), DetectionConfig{},
+                             TimeoutTable::paper(), nullptr, nullptr, stream);
+      std::istringstream in(out.str(), std::ios::binary);
+      restored.restore(in);
+      std::ostringstream again(std::ios::binary);
+      restored.checkpoint(again);
+      EXPECT_EQ(again.str(), out.str()) << "round trip at point " << point;
+      EXPECT_EQ(restored.approx_state_bytes(), monitor.approx_state_bytes());
+      EXPECT_EQ(restored.series_count(), monitor.series_count());
+    };
+    for (std::size_t i = 0; i < degraded.size(); ++i) {
+      const auto& r = degraded[i];
+      if (c.outage.first <= r.minute && r.minute < c.outage.second) continue;
+      monitor.ingest(r);
+      if (i + 1 == degraded.size() / 4 || i + 1 == degraded.size() / 2 ||
+          i + 1 == 3 * degraded.size() / 4) {
+        capture();
+      }
+    }
+    monitor.finish();
+    capture();
+    ASSERT_EQ(point, 4u);
+
+    EXPECT_GT(monitor.alerts(), 0u);
+    EXPECT_GT(monitor.incidents(), 0u);
+    EXPECT_EQ(crc_of(alerts.bytes), c.alerts_crc);
+    EXPECT_EQ(crc_of(incidents.bytes), c.incidents_crc);
+    EXPECT_EQ(checkpoint_crcs, c.checkpoint_crcs);
+    EXPECT_EQ(state_bytes_sum, c.state_bytes_sum);
+    EXPECT_EQ(series_sum, c.series_sum);
+  }
 }
 
 }  // namespace

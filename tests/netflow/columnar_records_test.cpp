@@ -267,7 +267,7 @@ TEST(ColumnarRecords, AppendMatchesMonolithicEncoding) {
   }
 }
 
-TEST(ColumnarRecords, AppendIntoReservedStoreMatches) {
+TEST(ColumnarRecords, AppendTwoStoresMatches) {
   util::Rng rng(606);
   const auto input = canonical_batch(rng, 30, 8);
   const std::size_t half = input.size() / 2;
@@ -281,11 +281,6 @@ TEST(ColumnarRecords, AppendIntoReservedStoreMatches) {
   }
 
   ColumnarRecords merged;
-  const auto sa = a.buffer_sizes();
-  const auto sb = b.buffer_sizes();
-  merged.reserve({sa.header_bytes + sb.header_bytes + 40,
-                  sa.payload_bytes + sb.payload_bytes, sa.runs + sb.runs,
-                  sa.checkpoints + sb.checkpoints});
   merged.append(std::move(a));
   merged.append(std::move(b));
   expect_decodes_to(merged, input);

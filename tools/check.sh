@@ -21,7 +21,9 @@
 #      RotationCrashMatrix runs in the DM_SERVE ASan stage)
 #   4. ASan+UBSan build + codec suites (columnar store, the SWAR block
 #      decoder's ColumnarBlocks/VarintSwar suites, frame codec with its
-#      golden bytes, traces, windows, segments)
+#      golden bytes, traces, windows, segments) and the streaming core
+#      (StreamMonitor indexes into recycled minute storage; its checkpoint,
+#      restore and the incident builder's minute arithmetic)
 #   5. DM_SPILL=1: spill-tier differential + crash-recovery suites (ASan)
 #   6. DM_SERVE=1: serve fleet suites — checkpoint-rotation crash matrix,
 #      supervisor admission/shed and book-decoder rejection, sink +
@@ -41,7 +43,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-tsan}"
 ASAN_BUILD="${ASAN_BUILD_DIR:-$ROOT/build-asan}"
 FILTER="${1:-ThreadPool|ParallelExec|ParallelEquivalence|WindowShardMerge|FusedPipeline|RadixSort|Aggregate|TraceIo|ColumnarRecords|Supervisor|MidGenerationAndRepeatedKillPoints}"
-ASAN_FILTER="${2:-ColumnarRecords|ColumnarBlocks|VarintSwar|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore}"
+ASAN_FILTER="${2:-ColumnarRecords|ColumnarBlocks|VarintSwar|ColumnarEquivalence|Frame|TraceIo|Aggregate|WindowShardMerge|SegmentStore|StreamMonitor|StreamCheckpoint|StreamRestoreError|IncidentBuilder}"
 
 # Determinism & invariant lint gate. Exits nonzero on any finding not in
 # the committed baseline (which is kept empty). The scan itself (not the
@@ -95,7 +97,7 @@ cmake --build "$BUILD" -j"$(nproc)" --target dm_tests
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 ctest --test-dir "$BUILD" --output-on-failure -R "$FILTER"
 
-# ASan+UBSan pass over the codec-heavy suites.
+# ASan+UBSan pass over the codec-heavy suites and the streaming core.
 cmake -B "$ASAN_BUILD" -S "$ROOT" \
   -DDM_SANITIZE=address,undefined \
   -DDM_WERROR=ON \
